@@ -7,7 +7,14 @@ failure modes (after-pulsing, dead time).
 """
 
 from .bitstream import BitSequence, load_ascii, load_packed, write_ascii, write_packed
-from .blockstats import BlockCounts, count_blocks, count_blocks_parallel, max_borel_level, merge_counts
+from .blockstats import (
+    BlockCounts,
+    count_blocks,
+    count_blocks_parallel,
+    level_counts,
+    max_borel_level,
+    merge_counts,
+)
 from .borel import BorelLevelReport, borel_bound, borel_deviations, borel_test
 from .bayes import (
     BayesBoundReport,
@@ -15,7 +22,6 @@ from .bayes import (
     bayes_bound_lhs,
     bayes_bound_rhs,
     bayes_bound_test,
-    best_model,
     log_marginal,
     posterior,
 )
@@ -48,6 +54,7 @@ __all__ = [
     "write_packed",
     "count_blocks",
     "count_blocks_parallel",
+    "level_counts",
     "merge_counts",
     "max_borel_level",
     "borel_bound",
@@ -56,7 +63,6 @@ __all__ = [
     "bayes_bound_lhs",
     "bayes_bound_rhs",
     "bayes_bound_test",
-    "best_model",
     "log_marginal",
     "posterior",
     "bell_number",

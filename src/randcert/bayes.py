@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .bitstream import BitSequence
-from .blockstats import BlockCounts, count_blocks, max_borel_level
+from .blockstats import BlockCounts, level_counts
 from .borel import borel_deviations
 from .errors import NumericError
 from .partitions import PartitionModel
@@ -60,7 +60,6 @@ class PosteriorTable:
     level: int
     models: list
     log_marginals: np.ndarray  # nats
-    log_prior: np.ndarray  # nats
     posteriors: np.ndarray
     best_index: int
     symmetric_posterior: float | None  # posterior of the one-block model, if present
@@ -82,7 +81,6 @@ def posterior(counts: BlockCounts, models: Sequence[PartitionModel]) -> Posterio
     if not models:
         raise ValueError("model list must be non-empty")
     log_m = np.array([log_marginal(counts, mod) for mod in models])
-    log_prior = np.full(len(models), -math.log(len(models)))
     shifted = log_m - log_m.max()
     weights = np.exp(shifted)
     post = weights / math.fsum(weights)
@@ -92,11 +90,7 @@ def posterior(counts: BlockCounts, models: Sequence[PartitionModel]) -> Posterio
         if mod.is_symmetric:
             sym = float(post[idx])
             break
-    return PosteriorTable(counts.level, list(models), log_m, log_prior, post, best, sym)
-
-
-def best_model(table: PosteriorTable) -> int:
-    return table.best_index
+    return PosteriorTable(counts.level, list(models), log_m, post, best, sym)
 
 
 @dataclass(frozen=True)
@@ -147,17 +141,18 @@ def bayes_bound_lhs(counts: BlockCounts) -> float:
     return math.sqrt(max(radicand, 0.0))
 
 
-def bayes_bound_test(seq: BitSequence, levels: int | None = None) -> list[BayesBoundReport]:
-    imax = max_borel_level(seq.n)
-    if levels is None:
-        levels = imax
-    if not 1 <= levels <= imax:
-        raise ValueError(f"requested level {levels} exceeds i_max={imax} for n={seq.n}")
+def bayes_bound_test(
+    seq: BitSequence, levels: int | None = None, *, counts: list[BlockCounts] | None = None
+) -> list[BayesBoundReport]:
+    """Coupled frequency bound at levels 1..levels (default i_max).
+    counts, a level_counts(seq, levels) result, saves counting again."""
+    if counts is None:
+        counts = level_counts(seq, levels)
     reports = []
-    for i in range(1, levels + 1):
-        lhs = bayes_bound_lhs(count_blocks(seq, i))
-        rhs = bayes_bound_rhs(seq.n, i)
-        reports.append(BayesBoundReport(i, lhs, rhs, lhs < rhs))
+    for c in counts:
+        lhs = bayes_bound_lhs(c)
+        rhs = bayes_bound_rhs(seq.n, c.level)
+        reports.append(BayesBoundReport(c.level, lhs, rhs, lhs < rhs))
     return reports
 
 

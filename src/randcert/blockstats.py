@@ -72,6 +72,20 @@ def max_borel_level(n: int) -> int:
     return i
 
 
+def check_levels(n: int, levels: int | None = None) -> int:
+    """Highest level to test on n bits: levels itself if 1 <= levels <= i_max(n),
+    i_max(n) when levels is None; anything else is refused."""
+    imax = max_borel_level(n)
+    if levels is None:
+        return imax
+    if not 1 <= levels <= imax:
+        raise ValueError(
+            f"level {levels} is outside 1..i_max={imax} for n={n} "
+            f"(level i needs n >= 2^(2^i))"
+        )
+    return levels
+
+
 def _check_level(i: int):
     if not 1 <= i <= MAX_LEVEL:
         raise ValueError(f"block length must be in [1, {MAX_LEVEL}], got {i}")
@@ -97,31 +111,25 @@ def count_blocks(seq: BitSequence, i: int) -> BlockCounts:
     return BlockCounts(i, counts, seq.n // i)
 
 
+def level_counts(seq: BitSequence, levels: int | None = None) -> list[BlockCounts]:
+    """Block counts at levels 1..check_levels(seq.n, levels), each counted once."""
+    return [count_blocks(seq, i) for i in range(1, check_levels(seq.n, levels) + 1)]
+
+
 def merge_counts(a: BlockCounts, b: BlockCounts) -> BlockCounts:
     if a.level != b.level:
         raise ValueError(f"cannot merge counts at levels {a.level} and {b.level}")
     return BlockCounts(a.level, a.counts + b.counts, a.total + b.total)
 
 
-def _worker_count() -> int:
-    env = os.environ.get("RANDCERT_THREADS", "0")
-    try:
-        w = int(env)
-    except ValueError:
-        w = 0
-    if w <= 0:
-        w = os.cpu_count() or 1
-    return w
-
-
 def count_blocks_parallel(seq: BitSequence, i: int, workers: int | None = None) -> BlockCounts:
     """Chunked counting over block-aligned slices, merged; bit-identical to
-    count_blocks. Worker count defaults to RANDCERT_THREADS (0 = auto)."""
+    count_blocks. Worker count defaults to the CPU count."""
     _check_level(i)
     if seq.n < i:
         raise ValueError(f"sequence of {seq.n} bits has no complete block of length {i}")
     if workers is None:
-        workers = _worker_count()
+        workers = os.cpu_count() or 1
     nblocks = seq.n // i
     workers = max(1, min(workers, nblocks))
     bits = seq.to_bit_array()

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bitstream import BitSequence
-from .blockstats import BlockCounts, count_blocks, max_borel_level
+from .blockstats import BlockCounts, level_counts
 
 
 @dataclass(frozen=True)
@@ -65,17 +65,14 @@ def evaluate_level(counts: BlockCounts, n: int) -> BorelLevelReport:
     return BorelLevelReport(counts.level, bound, dev, passes)
 
 
-def borel_test(seq: BitSequence, levels: int | None = None) -> list[BorelLevelReport]:
-    """Run the test at levels 1..min(levels, i_max); one report per level."""
-    imax = max_borel_level(seq.n)
-    if levels is None:
-        levels = imax
-    if not 1 <= levels <= imax:
-        raise ValueError(
-            f"requested level {levels} exceeds i_max={imax} for n={seq.n} "
-            f"(level i needs n >= 2^(2^i))"
-        )
-    return [evaluate_level(count_blocks(seq, i), seq.n) for i in range(1, levels + 1)]
+def borel_test(
+    seq: BitSequence, levels: int | None = None, *, counts: list[BlockCounts] | None = None
+) -> list[BorelLevelReport]:
+    """Run the test at levels 1..levels (default i_max); one report per level.
+    counts, a level_counts(seq, levels) result, saves counting again."""
+    if counts is None:
+        counts = level_counts(seq, levels)
+    return [evaluate_level(c, seq.n) for c in counts]
 
 
 def overall_verdict(reports: list[BorelLevelReport]) -> bool:

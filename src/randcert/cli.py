@@ -45,11 +45,9 @@ def _emit_json(obj, path: str | None) -> None:
 
 def cmd_analyze(args) -> int:
     seq = _load_bits(args.input, args.format, args.bits)
-    imax = blockstats.max_borel_level(seq.n)
-    levels = args.max_level or imax
-    borel_reports = borel.borel_test(seq, levels)
-    bayes_levels = min(levels, max(i for i in range(1, levels + 1) if seq.n >= i * (1 << i)))
-    bound_reports = bayes.bayes_bound_test(seq, bayes_levels)
+    counts = blockstats.level_counts(seq, args.max_level)
+    borel_reports = borel.borel_test(seq, counts=counts)
+    bound_reports = bayes.bayes_bound_test(seq, counts=counts)
 
     report = {
         "input": {"path": args.input, "format": args.format, "n": seq.n},
@@ -58,11 +56,10 @@ def cmd_analyze(args) -> int:
     }
     if args.bayes_posterior:
         posterior_levels = []
-        for i in range(1, levels + 1):
-            cap = args.max_blocks if (1 << i) > 8 else None
-            models = list(partitions.enumerate_partitions(1 << i, cap))
-            table = bayes.posterior(blockstats.count_blocks(seq, i), models)
-            posterior_levels.append(table.to_json_dict())
+        for c in counts:
+            cap = args.max_blocks if (1 << c.level) > 8 else None
+            models = list(partitions.enumerate_partitions(1 << c.level, cap))
+            posterior_levels.append(bayes.posterior(c, models).to_json_dict())
         report["posterior"] = posterior_levels
 
     overall = report["borel"]["overall"] and report["bayes_bound"]["overall"]
@@ -74,9 +71,9 @@ def cmd_analyze(args) -> int:
             w = csv.writer(fh)
             w.writerow(["level", "substring", "deviation", "borel_bound", "bayes_rhs_for_level"])
             for level, bits, dev, bound in borel.reports_to_csv_rows(borel_reports):
-                w.writerow([level, bits, repr(dev), repr(bound), repr(rhs_by_level.get(level, ""))])
+                w.writerow([level, bits, repr(dev), repr(bound), repr(rhs_by_level[level])])
 
-    print(f"n = {seq.n}, levels 1..{levels} (i_max = {imax})")
+    print(f"n = {seq.n}, levels 1..{len(counts)} (i_max = {blockstats.max_borel_level(seq.n)})")
     for r in borel_reports:
         print(
             f"  borel level {r.level}: max |dev| = {r.max_abs_deviation:.6g} "
@@ -95,21 +92,17 @@ def cmd_analyze(args) -> int:
 
 def cmd_bounds(args) -> int:
     n = args.n
-    imax = blockstats.max_borel_level(n)
-    levels = args.levels or imax
-    if levels > imax:
-        raise ValueError(f"level {levels} exceeds i_max={imax} for n={n}")
+    levels = blockstats.check_levels(n, args.levels)
     bb = borel.borel_bound(n)
-    rows = []
-    for i in range(1, levels + 1):
-        rhs = bayes.bayes_bound_rhs(n, i) if n >= i * (1 << i) else None
-        rows.append({"i": i, "borel_bound": bb, "bayes_rhs": rhs})
+    rows = [
+        {"i": i, "borel_bound": bb, "bayes_rhs": bayes.bayes_bound_rhs(n, i)}
+        for i in range(1, levels + 1)
+    ]
     _emit_json({"n": n, "bounds": rows}, args.json)
-    print(f"n = {n}, i_max = {imax}")
+    print(f"n = {n}, i_max = {blockstats.max_borel_level(n)}")
     print(f"{'level':>5}  {'borel_bound':>14}  {'bayes_rhs':>14}")
     for row in rows:
-        rhs = "n/a" if row["bayes_rhs"] is None else f"{row['bayes_rhs']:.6g}"
-        print(f"{row['i']:>5}  {row['borel_bound']:>14.6g}  {rhs:>14}")
+        print(f"{row['i']:>5}  {row['borel_bound']:>14.6g}  {row['bayes_rhs']:>14.6g}")
     return EXIT_PASS
 
 
@@ -124,7 +117,7 @@ def cmd_extract(args) -> int:
         raise RandcertError("no time tags in input")
     seq = extract.timetags_to_bits(series, args.divisor)
     _write_bits(seq, args.out, args.out_format)
-    ones = sum(seq.to_bit_array().tolist())
+    ones = blockstats.count_blocks(seq, 1).counts[1]
     print(f"extracted n = {seq.n} bits, ones fraction = {ones / seq.n:.6f}")
     return EXIT_PASS
 
@@ -163,10 +156,7 @@ def cmd_generate(args) -> int:
 
 def cmd_posterior(args) -> int:
     seq = _load_bits(args.input, args.format, args.bits)
-    i = args.level
-    imax = blockstats.max_borel_level(seq.n)
-    if i > imax:
-        raise ValueError(f"level {i} exceeds i_max={imax} for n={seq.n}")
+    i = blockstats.check_levels(seq.n, args.level)
     cap = args.max_blocks
     if (1 << i) > 8 and cap is None:
         raise ValueError(

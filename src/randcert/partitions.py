@@ -14,7 +14,7 @@ from typing import Iterator, Sequence
 
 BELL_MAX_N = 26  # B_26 ~ 4.9e19, the last value fitting unsigned 128 bits
 
-ENUM_MAX_N = 16  # full enumeration above B_16 ~ 1.05e10 is refused
+ENUM_MAX_MODELS = 1 << 20  # larger model spaces are refused, not walked
 
 
 def bell_number(n: int) -> int:
@@ -30,6 +30,18 @@ def bell_number(n: int) -> int:
             nxt.append(nxt[-1] + v)
         row = nxt
     return row[-1]
+
+
+def _exceeds_model_limit(n: int, max_blocks: int) -> bool:
+    """Whether n items have more than ENUM_MAX_MODELS partitions into at most
+    max_blocks blocks, i.e. sum_{k <= max_blocks} S(n, k) > ENUM_MAX_MODELS,
+    from the exact Stirling recurrence S(m, k) = k S(m-1, k) + S(m-1, k-1)."""
+    row = [1] + [0] * max_blocks  # S(0, k) for k = 0..max_blocks
+    for _ in range(n):
+        row = [0] + [k * row[k] + row[k - 1] for k in range(1, max_blocks + 1)]
+        if sum(row) > ENUM_MAX_MODELS:  # S(m, k) never falls as m grows
+            return True
+    return False
 
 
 def _level_for_size(n: int) -> int:
@@ -82,16 +94,16 @@ def enumerate_partitions(n: int, max_blocks: int | None = None) -> Iterator[Part
     """Yield every canonical RGS of length n (optionally capped at max_blocks
     blocks) exactly once, in lexicographic order; the one-block partition
     comes first."""
-    if n > ENUM_MAX_N:
-        raise ValueError(
-            f"refusing full enumeration for n={n} > {ENUM_MAX_N}; "
-            f"restrict the model space with max_blocks"
-        )
     level = _level_for_size(n)
     if max_blocks is None:
         max_blocks = n
     if not 1 <= max_blocks <= n:
         raise ValueError(f"max_blocks must be in [1, {n}], got {max_blocks}")
+    if _exceeds_model_limit(n, max_blocks):
+        raise ValueError(
+            f"refusing to enumerate more than {ENUM_MAX_MODELS} partitions of "
+            f"{n} items into at most {max_blocks} blocks; lower max_blocks"
+        )
     return _iter_partitions(n, level, max_blocks)
 
 

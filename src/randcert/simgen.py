@@ -77,19 +77,6 @@ class _UniformStream:
         self._pos += 1
         return v
 
-    def take_array(self, count: int) -> np.ndarray:
-        out = np.empty(count)
-        filled = 0
-        while filled < count:
-            if self._pos >= self._buf.size:
-                self._buf = _raw_uniforms(self._bg, self._batch)
-                self._pos = 0
-            take = min(count - filled, self._buf.size - self._pos)
-            out[filled : filled + take] = self._buf[self._pos : self._pos + take]
-            self._pos += take
-            filled += take
-        return out
-
 
 def gen_bernoulli(cfg: GeneratorConfig) -> BitSequence:
     """n i.i.d. bits with P(1) = theta."""
@@ -145,8 +132,7 @@ class _ArrivalSource:
     def _refill(self):
         u = _raw_uniforms(self._bg, 2 * self._batch)
         dts = -self._mean * np.log1p(-u[: self._batch])
-        self._t += 0.0  # arrival clock continues across batches
-        times = self._t + np.cumsum(dts)
+        times = self._t + np.cumsum(dts)  # the clock continues across batches
         self._t = float(times[-1])
         self._times = times.tolist()
         self._dets = (u[self._batch :] < 0.5).astype(np.uint8).tolist()

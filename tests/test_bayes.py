@@ -10,7 +10,6 @@ from randcert.bayes import (
     bayes_bound_lhs,
     bayes_bound_rhs,
     bayes_bound_test,
-    best_model,
     log_marginal,
     log_marginal_blocks,
     posterior,
@@ -78,7 +77,7 @@ class TestPosterior:
     def test_no_data_returns_prior(self):
         t = posterior(make_counts(1, {}), self._both_level_one())
         assert t.posteriors.tolist() == pytest.approx([0.5, 0.5])
-        assert best_model(t) == 0  # tie broken toward the lowest index
+        assert t.best_index == 0  # tie broken toward the lowest index
 
     def test_empty_model_list(self):
         with pytest.raises(ValueError):

@@ -1,18 +1,22 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from randcert import blockstats
 from randcert.bitstream import BitSequence
+from randcert.bayes import bayes_bound_test
 from randcert.blockstats import (
     BlockCounts,
+    check_levels,
     count_blocks,
     count_blocks_parallel,
+    level_counts,
     max_borel_level,
     merge_counts,
     zero_counts,
 )
+from randcert.borel import borel_test
 
 from conftest import bits_from_string
 
@@ -140,3 +144,29 @@ def test_parallel_matches_serial():
 def test_json_roundtrip():
     c = count_blocks(bits_from_string("1101001110"), 2)
     assert BlockCounts.from_json_dict(c.to_json_dict()) == c
+
+
+@st.composite
+def random_sequences(draw, min_bits=4, max_bits=1 << 17):
+    """Seeded random bit sequences of any length, so n mod i takes every value."""
+    n = draw(st.integers(min_bits, max_bits))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return BitSequence.from_bytes(rng.integers(0, 256, (n + 7) // 8, dtype=np.uint8).tobytes(), n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(random_sequences(), st.data())
+def test_level_counts_counts_each_level_once(seq, data):
+    imax = max_borel_level(seq.n)
+    k = data.draw(st.one_of(st.none(), st.integers(1, imax)))
+    counts = level_counts(seq, k)
+    assert counts == [count_blocks(seq, i) for i in range(1, (k or imax) + 1)]
+    borel_json = [r.to_json_dict() for r in borel_test(seq, k)]
+    assert [r.to_json_dict() for r in borel_test(seq, counts=counts)] == borel_json
+    assert bayes_bound_test(seq, counts=counts) == bayes_bound_test(seq, k)
+
+
+@pytest.mark.parametrize("n,levels", [(4, 0), (4, 2), (255, 3), (65_536, 5), (65_536, -1)])
+def test_check_levels_refuses_outside_one_to_imax(n, levels):
+    with pytest.raises(ValueError, match=f"i_max={max_borel_level(n)}"):
+        check_levels(n, levels)

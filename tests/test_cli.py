@@ -1,8 +1,9 @@
 import json
+import sys
 
 import pytest
 
-from randcert import bitstream, simgen
+from randcert import bitstream, blockstats, simgen
 from randcert.cli import EXIT_ERROR, EXIT_FAIL, EXIT_PASS, main
 
 from conftest import bits_from_string
@@ -72,6 +73,43 @@ class TestAnalyze:
         assert len(report["posterior"]) == 3  # i_max(4096) = 3
         assert report["posterior"][0]["symmetric_posterior"] is not None
         assert rc in (EXIT_PASS, EXIT_FAIL)
+
+
+    @pytest.mark.parametrize("extra", [[], ["--bayes-posterior"]])
+    def test_counts_each_level_once(self, tmp_path, monkeypatch, capsys, extra):
+        p = tmp_path / "small.txt"
+        bitstream.write_ascii(
+            simgen.gen_bernoulli(simgen.GeneratorConfig("bernoulli", n=4096, seed=9)), p
+        )
+        calls = []
+        orig = blockstats.count_blocks
+
+        def spy(seq, i):
+            calls.append(i)
+            return orig(seq, i)
+
+        # replace count_blocks wherever a randcert module binds it
+        for name, mod in list(sys.modules.items()):
+            if name.split(".")[0] == "randcert" and getattr(mod, "count_blocks", None) is orig:
+                monkeypatch.setattr(mod, "count_blocks", spy)
+        out = tmp_path / "r.json"
+        rc = main(["analyze", str(p), "--format", "ascii", "--json", str(out)] + extra)
+        assert rc in (EXIT_PASS, EXIT_FAIL)
+        assert calls == [1, 2, 3]  # i_max(4096) = 3
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "{f}", "--format", "packed", "--max-level", "0"],
+        ["bounds", "1048576", "--levels", "0"],
+        ["posterior", "{f}", "--format", "packed", "--level", "0"],
+        ["posterior", "{f}", "--format", "packed", "--level", "-1"],
+    ],
+)
+def test_level_outside_range_is_usage_error(unbiased_file, capsys, argv):
+    assert main([a.format(f=unbiased_file) for a in argv]) == EXIT_ERROR
+    assert "i_max=4" in capsys.readouterr().err
 
 
 class TestBounds:
@@ -239,6 +277,12 @@ class TestPosterior:
         rc = main(["posterior", str(unbiased_file), "--format", "packed", "--level", "4"])
         assert rc == EXIT_ERROR
         assert "--max-blocks" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cap", ["3", "16"])
+    def test_level_four_model_space_too_large(self, unbiased_file, capsys, cap):
+        argv = ["posterior", str(unbiased_file), "--format", "packed", "--level", "4"]
+        assert main(argv + ["--max-blocks", cap]) == EXIT_ERROR
+        assert "refusing to enumerate" in capsys.readouterr().err
 
     def test_level_four_with_cap(self, tmp_path, capsys):
         p = tmp_path / "bits.bin"

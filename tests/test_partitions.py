@@ -84,6 +84,14 @@ class TestEnumeration:
     def test_refuses_unbounded_large_sets(self):
         with pytest.raises(ValueError):
             next(enumerate_partitions(32))
+        # B_16 ~ 1.05e10 models, and S(16,1) + S(16,2) + S(16,3) = 7,174,454
+        for max_blocks in (None, 16, 3):
+            with pytest.raises(ValueError, match="refusing to enumerate"):
+                enumerate_partitions(16, max_blocks)
+        # B_8 = 4,140, S(16,1) + S(16,2) = 32,768 and S(32,1) = 1 stay under the limit
+        enumerate_partitions(8)
+        enumerate_partitions(16, 2)
+        assert [m.num_blocks for m in enumerate_partitions(32, 1)] == [1]
 
     def test_bad_max_blocks(self):
         with pytest.raises(ValueError):
