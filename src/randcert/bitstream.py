@@ -49,14 +49,15 @@ class BitSequence:
 
     @classmethod
     def from_bytes(cls, data: bytes, n: int) -> "BitSequence":
-        """Build from packed bytes, zeroing any pad bits beyond n."""
-        nbytes = (n + 7) // 8
+        """Build from packed bytes, zeroing any pad bits beyond n. Whole-byte
+        bytes are used as they are; anything else is copied exactly once."""
         if n > 8 * len(data):
             raise ValueError(f"n={n} exceeds {8 * len(data)} bits of data")
-        buf = bytearray(data[:nbytes])
-        if n % 8:
-            buf[-1] &= 0xFF << (8 - n % 8) & 0xFF
-        return cls(bytes(buf), n)
+        if n == 8 * len(data):
+            return cls(bytes(data), n)
+        whole, pad = divmod(n, 8)
+        last = bytes([data[whole] & (0xFF << (8 - pad) & 0xFF)]) if pad else b""
+        return cls(b"".join((memoryview(data)[:whole], last)), n)
 
     def to_bit_array(self) -> np.ndarray:
         """Unpacked bits as a uint8 array of length n."""

@@ -4,13 +4,21 @@ A sequence of n bits is split into floor(n/i) consecutive substrings of
 length i (the trailing partial block is discarded) and the occurrences of
 each of the 2^i possible substrings are counted. Substrings map to counter
 indices by reading the i bits as a big-endian integer ("10" -> 2).
+
+Counting works on the packed bytes directly and never unpacks the
+sequence: the bits are walked in whole periods of lcm(i, 8) bits, which
+always start on a byte and hold a fixed number of blocks, a bounded slab
+of periods at a time, so working memory does not grow with n. The blocks
+after the last whole period are counted on their own.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -18,6 +26,9 @@ from .bitstream import BitSequence
 
 # Dense 2^i counter vectors become impractical past this level.
 MAX_LEVEL = 24
+
+# Values fed to one bincount, which copies them to intp: 1 MiB of working memory.
+_SLAB = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -86,28 +97,75 @@ def check_levels(n: int, levels: int | None = None) -> int:
     return levels
 
 
-def _check_level(i: int):
+def _check_level(n: int, i: int):
     if not 1 <= i <= MAX_LEVEL:
         raise ValueError(f"block length must be in [1, {MAX_LEVEL}], got {i}")
+    if n < i:
+        raise ValueError(f"sequence of {n} bits has no complete block of length {i}")
 
 
 def _count_bit_slice(bits: np.ndarray, i: int) -> np.ndarray:
+    """Counts over one byte per bit; used only for the short tail after the
+    last whole period, so it never sees more than lcm(i, 8) bits."""
     nblocks = bits.size // i
-    if i == 1:
-        return np.bincount(bits, minlength=2).astype(np.int64)
-    vals = np.zeros(nblocks, dtype=np.int32 if i <= 31 else np.int64)
+    vals = np.zeros(nblocks, dtype=np.int32)
     trimmed = bits[: nblocks * i]
     for k in range(i):
-        vals += trimmed[k::i].astype(vals.dtype) << (i - 1 - k)
+        vals += trimmed[k::i].astype(np.int32) << (i - 1 - k)
     return np.bincount(vals, minlength=1 << i).astype(np.int64)
+
+
+def _count_packed(data: np.ndarray, nbits: int, i: int) -> np.ndarray:
+    """Counts of the nbits // i blocks of the first nbits bits of packed bytes.
+
+    Whole periods of lcm(i, 8) bits are counted slab by slab, each slab
+    feeding at most max(_SLAB, 2^i) values to one bincount; for i dividing
+    8 the values are bytes, whose histogram is folded into i-bit counts,
+    otherwise they are the blocks themselves, read from the one to four
+    bytes each block touches. The blocks after the last whole period are
+    counted apart, so pad bits beyond nbits are never read as data.
+    """
+    period = math.lcm(i, 8)
+    pbytes, per_period = period // 8, period // i
+    full = nbits // period
+    mask = (1 << i) - 1
+    counts = np.zeros(1 << i, dtype=np.int64)
+    if pbytes == 1:
+        hist = np.zeros(256, dtype=np.int64)
+        for a in range(0, full, _SLAB):
+            hist += np.bincount(data[a : min(a + _SLAB, full)], minlength=256)
+        byte = np.arange(256)
+        for k in range(per_period):
+            np.add.at(counts, (byte >> (8 - i * (k + 1))) & mask, hist)
+    else:
+        periods = data[: full * pbytes].reshape(full, pbytes)
+        rows = max(1, max(_SLAB, 1 << i) // per_period)
+        buf = np.empty((per_period, min(rows, full)), dtype=np.uint16 if i <= 9 else np.uint32)
+        for a in range(0, full, rows):
+            slab = periods[a : a + rows]
+            vals = buf[:, : len(slab)]
+            for k, w in enumerate(vals):
+                first, skip = divmod(k * i, 8)
+                touched = (skip + i + 7) // 8
+                np.copyto(w, slab[:, first], casting="unsafe")
+                for t in range(first + 1, first + touched):
+                    w <<= 8
+                    w |= slab[:, t]
+                w >>= 8 * touched - skip - i
+                w &= mask
+            counts += np.bincount(vals.ravel(), minlength=1 << i)
+    tail = nbits // i - full * per_period
+    if tail:
+        start = full * pbytes
+        bits = np.unpackbits(data[start : start + (tail * i + 7) // 8])[: tail * i]
+        counts += _count_bit_slice(bits, i)
+    return counts
 
 
 def count_blocks(seq: BitSequence, i: int) -> BlockCounts:
     """Count occurrences of every i-bit substring over disjoint blocks."""
-    _check_level(i)
-    if seq.n < i:
-        raise ValueError(f"sequence of {seq.n} bits has no complete block of length {i}")
-    counts = _count_bit_slice(seq.to_bit_array(), i)
+    _check_level(seq.n, i)
+    counts = _count_packed(np.frombuffer(seq.data, dtype=np.uint8), seq.n, i)
     return BlockCounts(i, counts, seq.n // i)
 
 
@@ -123,23 +181,20 @@ def merge_counts(a: BlockCounts, b: BlockCounts) -> BlockCounts:
 
 
 def count_blocks_parallel(seq: BitSequence, i: int, workers: int | None = None) -> BlockCounts:
-    """Chunked counting over block-aligned slices, merged; bit-identical to
-    count_blocks. Worker count defaults to the CPU count."""
-    _check_level(i)
-    if seq.n < i:
-        raise ValueError(f"sequence of {seq.n} bits has no complete block of length {i}")
+    """count_blocks over period-aligned slices of the packed bytes on a thread
+    pool, merged; bit-identical to count_blocks. Worker count defaults to the
+    CPU count."""
+    _check_level(seq.n, i)
     if workers is None:
         workers = os.cpu_count() or 1
-    nblocks = seq.n // i
-    workers = max(1, min(workers, nblocks))
-    bits = seq.to_bit_array()
-    per = (nblocks + workers - 1) // workers
-    slices = [
-        bits[s * per * i : min((s + 1) * per, nblocks) * i]
-        for s in range(workers)
-        if s * per < nblocks
-    ]
+    period = math.lcm(i, 8)
+    workers = max(1, min(workers, seq.n // period))
+    data = np.frombuffer(seq.data, dtype=np.uint8)
+    cuts = [seq.n // period * s // workers * period for s in range(workers)] + [seq.n]
+
+    def count(s: int) -> BlockCounts:
+        lo, hi = cuts[s], cuts[s + 1]
+        return BlockCounts(i, _count_packed(data[lo // 8 :], hi - lo, i), (hi - lo) // i)
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        partials = list(pool.map(lambda sl: _count_bit_slice(sl, i), slices))
-    counts = np.sum(partials, axis=0, dtype=np.int64)
-    return BlockCounts(i, counts, nblocks)
+        return reduce(merge_counts, pool.map(count, range(workers)))

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 
 from .bitstream import BitSequence
 from .errors import DataError, FormatError, NumericError
@@ -124,6 +123,8 @@ class DensitySpec:
     def __post_init__(self):
         if not self.b > self.a:
             raise ValueError("support interval must have b > a")
+        from scipy.integrate import quad  # imported here: it is most of the CLI's start-up time
+
         mass, _ = quad(self.density, self.a, self.b, limit=200)
         if abs(mass - 1.0) > 1e-8:
             raise ValueError(f"density integrates to {mass}, not 1")
@@ -144,6 +145,8 @@ def parity_bias_estimate(density: DensitySpec, L: int) -> tuple[float, float]:
     """
     if L < 1:
         raise ValueError(f"half bin count L must be >= 1, got {L}")
+    from scipy.integrate import quad
+
     a, b = density.a, density.b
     h = (b - a) / (2 * L)
     exact = 0.0

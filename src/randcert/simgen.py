@@ -57,7 +57,8 @@ def _bit_generator(seed: int) -> np.random.Philox:
 
 def _raw_uniforms(bg, count: int) -> np.ndarray:
     raw = bg.random_raw(count)
-    return (raw >> np.uint64(11)) * 2.0 ** -53
+    raw >>= np.uint64(11)
+    return raw * 2.0 ** -53
 
 
 class _UniformStream:
@@ -78,24 +79,20 @@ class _UniformStream:
         return v
 
 
+def _uniform_chunks(seed: int, n: int):
+    """The first n Philox uniforms of the seed, _CHUNK at a time."""
+    bg = _bit_generator(seed)
+    for start in range(0, n, _CHUNK):
+        yield _raw_uniforms(bg, min(_CHUNK, n - start))
+
+
 def gen_bernoulli(cfg: GeneratorConfig) -> BitSequence:
     """n i.i.d. bits with P(1) = theta."""
     if cfg.kind != BERNOULLI:
         raise ValueError(f"config kind is {cfg.kind!r}, expected {BERNOULLI!r}")
-    bg = _bit_generator(cfg.seed)
-    chunks = []
-    remaining = cfg.n
-    while remaining > 0:
-        take = min(remaining, _CHUNK)
-        u = _raw_uniforms(bg, take)
-        chunks.append(np.packbits((u < cfg.theta).astype(np.uint8)))
-        remaining -= take
-    if not chunks:
-        return BitSequence(b"", 0)
-    if len(chunks) == 1:
-        return BitSequence(chunks[0].tobytes(), cfg.n)
+    packed = [np.packbits(u < cfg.theta) for u in _uniform_chunks(cfg.seed, cfg.n)]
     # chunk size is a multiple of 8 bits, so packed chunks concatenate cleanly
-    return BitSequence(np.concatenate(chunks).tobytes(), cfg.n)
+    return BitSequence(b"".join(packed), cfg.n)
 
 
 def gen_markov(cfg: GeneratorConfig) -> BitSequence:
@@ -103,18 +100,18 @@ def gen_markov(cfg: GeneratorConfig) -> BitSequence:
     probability stay_prob. stay_prob = 1/2 reduces to Bernoulli(1/2)."""
     if cfg.kind != MARKOV:
         raise ValueError(f"config kind is {cfg.kind!r}, expected {MARKOV!r}")
-    if cfg.n == 0:
-        return BitSequence(b"", 0)
-    bg = _bit_generator(cfg.seed)
-    u = _raw_uniforms(bg, cfg.n)
-    first = np.uint8(u[0] < 0.5)
-    flips = (u[1:] >= cfg.stay_prob).astype(np.uint8)
-    bits = np.empty(cfg.n, dtype=np.uint8)
-    bits[0] = first
-    np.cumsum(flips, out=bits[1:], dtype=np.uint8)
-    bits[1:] += first
-    bits &= 1
-    return BitSequence(np.packbits(bits).tobytes(), cfg.n)
+    packed = []
+    prev = np.uint8(0)
+    for u in _uniform_chunks(cfg.seed, cfg.n):
+        flips = (u >= cfg.stay_prob).astype(np.uint8)
+        if not packed:
+            flips[0] = u[0] < 0.5  # the fair first bit, as a flip from 0
+        bits = np.cumsum(flips, dtype=np.uint8)  # wraps mod 256, parity kept
+        bits += prev
+        bits &= 1
+        prev = bits[-1]
+        packed.append(np.packbits(bits))
+    return BitSequence(b"".join(packed), cfg.n)
 
 
 class _ArrivalSource:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -53,6 +55,47 @@ class TestLoadPacked:
         p = tmp_bits_file("p.bin", bytes([0xFF]), binary=True)
         seq = bitstream.load_packed(p, 3)
         assert seq.data == bytes([0xE0])
+
+    def test_truncated(self, tmp_bits_file):
+        p = tmp_bits_file("p.bin", bytes([0xAB, 0xCD, 0xEF]), binary=True)
+        assert bitstream.load_packed(p, 16).data == bytes([0xAB, 0xCD])
+        assert bitstream.load_packed(p, 12).data == bytes([0xAB, 0xC0])
+
+    def test_whole_file_read_once(self, tmp_bits_file):
+        size = 4 << 20
+        p = tmp_bits_file("p.bin", bytes(range(256)) * (size // 256), binary=True)
+        tracemalloc.start()
+        try:
+            seq = bitstream.load_packed(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert seq.n == 8 * size
+        assert peak < 1.25 * size
+
+
+class TestFromBytes:
+    def test_whole_bytes_not_copied(self):
+        data = bytes(range(256))
+        assert BitSequence.from_bytes(data, 8 * len(data)).data is data
+
+    def test_truncation_and_pad_bits(self):
+        data = bytes([0xFF, 0xFF, 0xFF])
+        assert BitSequence.from_bytes(data, 12).data == bytes([0xFF, 0xF0])
+        assert BitSequence.from_bytes(data, 16).data == bytes([0xFF, 0xFF])
+        assert BitSequence.from_bytes(data, 0).data == b""
+        assert BitSequence.from_bytes(bytearray(data), 24).data == data
+
+    def test_partial_load_copies_once(self):
+        data = bytes(4 << 20)
+        tracemalloc.start()
+        try:
+            seq = BitSequence.from_bytes(data, 8 * len(data) - 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(seq.data) == len(data)
+        assert peak < 1.25 * len(data)
 
 
 class TestBitAt:

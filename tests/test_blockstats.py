@@ -1,3 +1,8 @@
+import math
+import tracemalloc
+from collections import Counter
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -170,3 +175,58 @@ def test_level_counts_counts_each_level_once(seq, data):
 def test_check_levels_refuses_outside_one_to_imax(n, levels):
     with pytest.raises(ValueError, match=f"i_max={max_borel_level(n)}"):
         check_levels(n, levels)
+
+
+def _oracle_counts(seq: BitSequence, i: int) -> dict[int, int]:
+    """Tally of each i-bit slice of the first n bits, read as an integer."""
+    value = int.from_bytes(seq.data, "big") >> (8 * len(seq.data) - seq.n)
+    nblocks = seq.n // i
+    return Counter((value >> (seq.n - (k + 1) * i)) & ((1 << i) - 1) for k in range(nblocks))
+
+
+@st.composite
+def level_and_sequence(draw):
+    """A level 1..MAX_LEVEL and n >= i with every n mod lcm(i, 8) reachable,
+    over bytes whose pad bits beyond n are random, not zero."""
+    i = draw(st.integers(1, blockstats.MAX_LEVEL))
+    period = math.lcm(i, 8)
+    n = draw(st.integers(0, 40)) * period + draw(st.integers(0, period - 1))
+    n = max(n, i)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return i, BitSequence(rng.integers(0, 256, (n + 7) // 8, dtype=np.uint8).tobytes(), n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(level_and_sequence(), st.integers(1, 64))
+def test_count_blocks_matches_bit_slice_oracle(case, slab):
+    i, seq = case
+    with mock.patch.object(blockstats, "_SLAB", slab):
+        c = count_blocks(seq, i)
+    assert c.total == seq.n // i
+    nonzero = np.flatnonzero(c.counts)
+    assert dict(zip(nonzero.tolist(), c.counts[nonzero].tolist())) == _oracle_counts(seq, i)
+
+
+@settings(max_examples=60, deadline=None)
+@given(level_and_sequence(), st.integers(1, 4), st.integers(1, 64))
+def test_parallel_matches_serial_any_workers(case, workers, slab):
+    i, seq = case
+    with mock.patch.object(blockstats, "_SLAB", slab):
+        assert count_blocks_parallel(seq, i, workers=workers) == count_blocks(seq, i)
+
+
+def _count_peak_bytes(nbits: int) -> int:
+    rng = np.random.default_rng(5)
+    seq = BitSequence(rng.integers(0, 256, nbits // 8, dtype=np.uint8).tobytes(), nbits)
+    tracemalloc.start()
+    try:
+        count_blocks(seq, 3)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_count_blocks_memory_is_flat_in_n():
+    small, large = _count_peak_bytes(1 << 24), _count_peak_bytes(1 << 26)
+    assert large <= 1.25 * small
+    assert large < 8 * 2**20  # the packed size of 2^26 bits

@@ -1,4 +1,5 @@
 import json
+import subprocess
 import sys
 
 import pytest
@@ -307,3 +308,9 @@ class TestPosterior:
 def test_usage_error_exit_code():
     assert main(["analyze"]) == EXIT_ERROR
     assert main([]) == EXIT_ERROR
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    code = "import sys, randcert.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -72,6 +72,20 @@ class TestMarkov:
         cfg = GeneratorConfig("markov", n=9999, seed=123, stay_prob=0.7)
         assert gen_markov(cfg).data == gen_markov(cfg).data
 
+    def test_pinned_digest_across_chunks(self):
+        # pinned from the unchunked generator; n spans three chunks and a partial byte
+        seq = gen_markov(GeneratorConfig("markov", 2**23 + 13, 3, stay_prob=0.52))
+        assert hashlib.sha256(seq.data).hexdigest() == (
+            "184696c87ee0b93d99e0fff6f9ff6fe956947d3010323df70ad912dd755db2d1"
+        )
+
+    @pytest.mark.parametrize("n", [1, 8, 9, 63, 64, 1000])
+    def test_chunk_size_does_not_change_output(self, monkeypatch, n):
+        cfg = GeneratorConfig("markov", n=n, seed=9, stay_prob=0.3)
+        whole = gen_markov(cfg)
+        monkeypatch.setattr(simgen, "_CHUNK", 8)
+        assert gen_markov(cfg) == whole
+
     def test_stay_excess_fails_borel_level_two(self):
         cfg = GeneratorConfig("markov", n=2**24, seed=7, stay_prob=0.51)
         seq = gen_markov(cfg)
