@@ -104,17 +104,6 @@ def _check_level(n: int, i: int):
         raise ValueError(f"sequence of {n} bits has no complete block of length {i}")
 
 
-def _count_bit_slice(bits: np.ndarray, i: int) -> np.ndarray:
-    """Counts over one byte per bit; used only for the short tail after the
-    last whole period, so it never sees more than lcm(i, 8) bits."""
-    nblocks = bits.size // i
-    vals = np.zeros(nblocks, dtype=np.int32)
-    trimmed = bits[: nblocks * i]
-    for k in range(i):
-        vals += trimmed[k::i].astype(np.int32) << (i - 1 - k)
-    return np.bincount(vals, minlength=1 << i).astype(np.int64)
-
-
 def _count_packed(data: np.ndarray, nbits: int, i: int) -> np.ndarray:
     """Counts of the nbits // i blocks of the first nbits bits of packed bytes.
 
@@ -123,7 +112,8 @@ def _count_packed(data: np.ndarray, nbits: int, i: int) -> np.ndarray:
     8 the values are bytes, whose histogram is folded into i-bit counts,
     otherwise they are the blocks themselves, read from the one to four
     bytes each block touches. The blocks after the last whole period are
-    counted apart, so pad bits beyond nbits are never read as data.
+    read from one Python integer, so pad bits beyond nbits are never read
+    as data.
     """
     period = math.lcm(i, 8)
     pbytes, per_period = period // 8, period // i
@@ -154,11 +144,11 @@ def _count_packed(data: np.ndarray, nbits: int, i: int) -> np.ndarray:
                 w >>= 8 * touched - skip - i
                 w &= mask
             counts += np.bincount(vals.ravel(), minlength=1 << i)
-    tail = nbits // i - full * per_period
-    if tail:
-        start = full * pbytes
-        bits = np.unpackbits(data[start : start + (tail * i + 7) // 8])[: tail * i]
-        counts += _count_bit_slice(bits, i)
+    tail = nbits // i - full * per_period  # blocks after the last whole period
+    tail_bytes = data[full * pbytes : full * pbytes + (tail * i + 7) // 8].tobytes()
+    word, width = int.from_bytes(tail_bytes, "big"), 8 * len(tail_bytes)
+    for k in range(1, tail + 1):
+        counts[(word >> (width - k * i)) & mask] += 1
     return counts
 
 

@@ -110,8 +110,6 @@ def cmd_extract(args) -> int:
     loader = extract.load_timetags_text if args.format == "text" else extract.load_timetags_binary
     series = loader(args.input, args.kind, args.unit)
     if series.kind == extract.TIMESTAMPS:
-        if len(series) < 2:
-            raise RandcertError("need at least two timestamps to extract bits")
         series = extract.interarrivals(series)
     if len(series) == 0:
         raise RandcertError("no time tags in input")

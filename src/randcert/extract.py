@@ -102,9 +102,10 @@ def load_timetags_binary(path, kind: str, unit: str = "") -> TimeTagSeries:
 
 
 def write_timetags_text(series: TimeTagSeries, path) -> None:
+    slab = 1 << 16  # joining all tags at once would hold their whole text
     with open(path, "w") as fh:
-        for v in series.values:
-            fh.write(f"{int(v)}\n")
+        for a in range(0, len(series), slab):
+            fh.write("".join(f"{v}\n" for v in series.values[a : a + slab].tolist()))
 
 
 def write_timetags_binary(series: TimeTagSeries, path) -> None:

@@ -9,6 +9,7 @@ produce identical output bytes on every platform and numpy version.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -22,6 +23,7 @@ MARKOV = "markov"
 DETECTOR = "detector"
 
 _CHUNK = 1 << 22
+_BATCH = 1 << 16  # uniforms per refill of the detector streams
 
 
 @dataclass(frozen=True)
@@ -51,37 +53,15 @@ class GeneratorConfig:
             raise ValueError("mean_interarrival must be positive")
 
 
-def _bit_generator(seed: int) -> np.random.Philox:
-    return np.random.Philox(key=seed)
-
-
 def _raw_uniforms(bg, count: int) -> np.ndarray:
     raw = bg.random_raw(count)
     raw >>= np.uint64(11)
     return raw * 2.0 ** -53
 
 
-class _UniformStream:
-    """Lazy batched view of the Philox uniform stream."""
-
-    def __init__(self, seed: int, batch: int = 1 << 16):
-        self._bg = _bit_generator(seed)
-        self._batch = batch
-        self._buf = np.empty(0)
-        self._pos = 0
-
-    def take(self) -> float:
-        if self._pos >= self._buf.size:
-            self._buf = _raw_uniforms(self._bg, self._batch)
-            self._pos = 0
-        v = float(self._buf[self._pos])
-        self._pos += 1
-        return v
-
-
 def _uniform_chunks(seed: int, n: int):
     """The first n Philox uniforms of the seed, _CHUNK at a time."""
-    bg = _bit_generator(seed)
+    bg = np.random.Philox(key=seed)
     for start in range(0, n, _CHUNK):
         yield _raw_uniforms(bg, min(_CHUNK, n - start))
 
@@ -114,33 +94,24 @@ def gen_markov(cfg: GeneratorConfig) -> BitSequence:
     return BitSequence(b"".join(packed), cfg.n)
 
 
-class _ArrivalSource:
-    """Batched Poisson arrivals: (time, detector) pairs in time order."""
+def _uniforms(seed: int):
+    """The Philox uniform stream of the seed, one float at a time."""
+    bg = np.random.Philox(key=seed)
+    while True:
+        yield from _raw_uniforms(bg, _BATCH).tolist()
 
-    def __init__(self, seed: int, mean: float, batch: int = 1 << 16):
-        self._bg = _bit_generator(seed)
-        self._mean = mean
-        self._batch = batch
-        self._times: list = []
-        self._dets: list = []
-        self._pos = 0
-        self._t = 0.0
 
-    def _refill(self):
-        u = _raw_uniforms(self._bg, 2 * self._batch)
-        dts = -self._mean * np.log1p(-u[: self._batch])
-        times = self._t + np.cumsum(dts)  # the clock continues across batches
-        self._t = float(times[-1])
-        self._times = times.tolist()
-        self._dets = (u[self._batch :] < 0.5).astype(np.uint8).tolist()
-        self._pos = 0
-
-    def next(self) -> tuple[float, int]:
-        if self._pos >= len(self._times):
-            self._refill()
-        p = self._pos
-        self._pos = p + 1
-        return self._times[p], self._dets[p]
+def _arrivals(seed: int, mean: float):
+    """Poisson arrivals as (time, detector) pairs in time order. Each refill
+    draws 2 * _BATCH uniforms: interarrivals from the first half, detector
+    coins from the second."""
+    bg = np.random.Philox(key=seed)
+    t = 0.0
+    while True:
+        u = _raw_uniforms(bg, 2 * _BATCH)
+        times = t + np.cumsum(-mean * np.log1p(-u[:_BATCH]))
+        t = float(times[-1])  # the clock continues across refills
+        yield from zip(times.tolist(), (u[_BATCH:] < 0.5).astype(np.uint8).tolist())
 
 
 def gen_detector(cfg: GeneratorConfig) -> tuple[TimeTagSeries, BitSequence]:
@@ -150,49 +121,40 @@ def gen_detector(cfg: GeneratorConfig) -> tuple[TimeTagSeries, BitSequence]:
     one of two detectors by a fair coin. An arrival within dead_time of the
     previous recorded event on the same detector is dropped. After every
     recorded event, with probability afterpulse_prob a spurious event is
-    injected on the same detector after afterpulse_delay (drawn from a
-    second Philox stream keyed seed + 2**64, so the arrival stream is
-    unaffected). Returns the merged recorded time tags (rounded to integer
-    units) and the detector-identity bits, both of length n.
+    injected on the same detector after afterpulse_delay (the coin comes
+    from a second Philox stream keyed seed + 2**64, so the arrival stream
+    is unaffected, and is drawn only when afterpulse_prob > 0). One loop
+    merges the arrivals with a heap of pending after-pulses, which stays
+    empty without after-pulsing. Returns the merged recorded time tags
+    (rounded to integer units) and the detector-identity bits, both of
+    length n.
     """
     if cfg.kind != DETECTOR:
         raise ValueError(f"config kind is {cfg.kind!r}, expected {DETECTOR!r}")
-    source = _ArrivalSource(cfg.seed, cfg.mean_interarrival)
-    ap_stream = _UniformStream(cfg.seed + (1 << 64)) if cfg.afterpulse_prob > 0 else None
+    arrivals = _arrivals(cfg.seed, cfg.mean_interarrival)
+    coins = _uniforms(cfg.seed + (1 << 64))
     times = np.empty(cfg.n, dtype=np.float64)
     bits = np.empty(cfg.n, dtype=np.uint8)
     recorded = 0
     last = [-math.inf, -math.inf]
-    tau = cfg.dead_time
-    if ap_stream is None:
-        while recorded < cfg.n:
-            t, det = source.next()
-            if t - last[det] < tau:
-                continue
-            last[det] = t
-            times[recorded] = t
-            bits[recorded] = det
-            recorded += 1
-    else:
-        # injected after-pulses interleave with arrivals; order via a heap
-        pending: list[tuple[float, int, int]] = []
-        order = 0
-        t_next, d_next = source.next()
-        while recorded < cfg.n:
-            if pending and pending[0][0] <= t_next:
-                t, _, det = heapq.heappop(pending)
-            else:
-                t, det = t_next, d_next
-                t_next, d_next = source.next()
-            if t - last[det] < tau:
-                continue
-            last[det] = t
-            times[recorded] = t
-            bits[recorded] = det
-            recorded += 1
-            if ap_stream.take() < cfg.afterpulse_prob:
-                heapq.heappush(pending, (t + cfg.afterpulse_delay, order, det))
-                order += 1
+    tau, prob = cfg.dead_time, cfg.afterpulse_prob
+    pending: list[tuple[float, int, int]] = []  # (time, order, detector)
+    order = itertools.count()
+    t_next, d_next = next(arrivals)
+    while recorded < cfg.n:
+        if pending and pending[0][0] <= t_next:
+            t, _, det = heapq.heappop(pending)
+        else:
+            t, det = t_next, d_next
+            t_next, d_next = next(arrivals)
+        if t - last[det] < tau:
+            continue
+        last[det] = t
+        times[recorded] = t
+        bits[recorded] = det
+        recorded += 1
+        if prob > 0 and next(coins) < prob:
+            heapq.heappush(pending, (t + cfg.afterpulse_delay, next(order), det))
     tags = TimeTagSeries(np.rint(times).astype(np.int64), "unit", TIMESTAMPS)
     return tags, BitSequence(np.packbits(bits).tobytes(), cfg.n)
 

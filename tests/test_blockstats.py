@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 from collections import Counter
+from functools import reduce
 from unittest import mock
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from randcert import blockstats
-from randcert.bitstream import BitSequence
+from randcert.bitstream import BitSequence, load_packed, stream_packed
 from randcert.bayes import bayes_bound_test
 from randcert.blockstats import (
     BlockCounts,
@@ -213,6 +214,29 @@ def test_parallel_matches_serial_any_workers(case, workers, slab):
     i, seq = case
     with mock.patch.object(blockstats, "_SLAB", slab):
         assert count_blocks_parallel(seq, i, workers=workers) == count_blocks(seq, i)
+
+
+@pytest.fixture(scope="module")
+def packed_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("stream") / "bits.bin"
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 8), st.integers(1, 6), st.data())
+def test_streamed_chunk_counts_merge_to_whole_file(packed_path, i, periods, data):
+    """Chunks of a multiple of lcm(i, 8) bits split no block, so merging the
+    chunks' counts gives the whole file's, for any tail length, with n cutting
+    into the last byte or (n=None) taking the whole file."""
+    chunk_bits = periods * math.lcm(i, 8)
+    n = data.draw(st.integers(0, 4)) * chunk_bits + data.draw(st.integers(0, chunk_bits - 1))
+    n = max(n, i)
+    nbytes = (n + 7) // 8 + data.draw(st.integers(0, 2))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    packed_path.write_bytes(rng.integers(0, 256, nbytes, dtype=np.uint8).tobytes())
+    n = data.draw(st.sampled_from([n, None]))
+    chunks = stream_packed(packed_path, chunk_bits, n)
+    merged = reduce(merge_counts, (count_blocks(c, i) for c in chunks if c.n >= i))
+    assert merged == count_blocks(load_packed(packed_path, n), i)
 
 
 def _count_peak_bytes(nbits: int) -> int:

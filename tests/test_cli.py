@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import randcert
 from randcert import bitstream, blockstats, simgen
 from randcert.cli import EXIT_ERROR, EXIT_FAIL, EXIT_PASS, main
 
@@ -177,22 +180,18 @@ class TestExtract:
         assert out.read_text().strip() == "00"
         assert "n = 2" in capsys.readouterr().out
 
-    def test_empty_input(self, tmp_path):
+    @pytest.mark.parametrize(
+        "kind, text",
+        [("timestamps", "100\n"), ("timestamps", ""), ("interarrivals", "")],
+        ids=["one-timestamp", "no-timestamps", "no-interarrivals"],
+    )
+    def test_empty_input(self, tmp_path, kind, text):
         src = tmp_path / "tags.txt"
-        src.write_text("")
-        rc = main(
-            [
-                "extract",
-                str(src),
-                "--format",
-                "text",
-                "--kind",
-                "interarrivals",
-                "--out",
-                str(tmp_path / "o"),
-            ]
-        )
+        src.write_text(text)
+        out = tmp_path / "o"
+        rc = main(["extract", str(src), "--format", "text", "--kind", kind, "--out", str(out)])
         assert rc == EXIT_ERROR
+        assert not out.exists()
 
 
 class TestGenerate:
@@ -312,5 +311,13 @@ def test_usage_error_exit_code():
 
 def test_cli_import_leaves_scipy_unloaded():
     code = "import sys, randcert.cli; print('scipy' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    src = str(Path(randcert.__file__).parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
     assert out.stdout.strip() == "False"

@@ -105,7 +105,35 @@ class TestMarkov:
             assert all(r.passes for r in reports)
 
 
+BENCH_DEFECTS = dict(dead_time=50.0, afterpulse_prob=0.05, afterpulse_delay=75.0)
+
+
 class TestDetector:
+    # sha256 of tags.values.tobytes() + bits.data at seed 8, pinned from the
+    # generator with separate loops for and without after-pulsing; n = 70,000
+    # crosses a 2^16 refill of both Philox streams
+    @pytest.mark.parametrize(
+        "n, defects, digest",
+        [
+            (0, {}, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+            (1, BENCH_DEFECTS, "7d41fc6495a7b60fa1ebe5318efe4878f37e75e2b26d3b67b2264a7e7a5d54e4"),
+            (70_000, {}, "7f22cb0ebaa6177e171dc24c3b15f30d7a305002497b2c9b6653642d97202ede"),
+            (
+                70_000,
+                BENCH_DEFECTS,
+                "6a6a70a3412286912d025474bd8c11f56c74c1dca261c915e2794c18a2af1c92",
+            ),
+            (
+                5000,
+                dict(afterpulse_prob=1.0, afterpulse_delay=0.0),
+                "b7bcde1683293de393a9e027907c65708973c236cc9ddec4458cff23311dd54b",
+            ),
+        ],
+    )
+    def test_pinned_digest(self, n, defects, digest):
+        tags, bits = gen_detector(GeneratorConfig("detector", n=n, seed=8, **defects))
+        assert hashlib.sha256(tags.values.tobytes() + bits.data).hexdigest() == digest
+
     def test_defect_free_marginal_is_fair(self):
         n = 2**20
         _, bits = gen_detector(GeneratorConfig("detector", n=n, seed=3))
