@@ -16,6 +16,8 @@ import numpy as np
 from .bitstream import BitSequence
 from .errors import DataError, FormatError, NumericError
 
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
 TIMESTAMPS = "timestamps"
 INTERARRIVALS = "interarrivals"
 
@@ -70,7 +72,45 @@ def timetags_to_bits(series: TimeTagSeries, divisor: int = 1) -> BitSequence:
 
 def load_timetags_text(path, kind: str, unit: str = "") -> TimeTagSeries:
     """One tag per line; digit groups may be separated by spaces (e.g.
-    "592 342 ps"); a trailing non-numeric unit token is ignored."""
+    "592 342 ps"); a trailing non-numeric unit token is ignored.
+
+    A plain file, whose every line is one run of 1-18 ASCII digits ended by
+    "\\n" (the last newline may be missing), is checked and parsed in numpy.
+    Any other file, blank lines and CRLF included, goes to the line parser,
+    which gives the same values and reports errors with their line numbers.
+    """
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    if _is_plain(raw):
+        return TimeTagSeries(np.fromstring(raw, dtype=np.int64, sep="\n"), unit, kind)
+    del raw  # the line parser reads the file again; do not hold its bytes meanwhile
+    return TimeTagSeries(_parse_lines(path), unit, kind)
+
+
+_PLAIN_MAX_DIGITS = 18  # 10**18 - 1 < 2**63 - 1, so no plain value overflows int64
+
+
+def _is_plain(raw: bytes) -> bool:
+    """Whether every line is 1-18 ASCII digits ended by "\\n" (the last may be
+    missing), which is exactly what np.fromstring(raw, sep="\\n") parses right."""
+    b = np.frombuffer(raw, dtype=np.uint8)
+    if b.size and b.max() > ord("9"):
+        return False
+    ends = np.flatnonzero(b == ord("\n"))
+    if np.count_nonzero(b < ord("0")) != ends.size:  # a byte below "0" other than "\n"
+        return False
+    if raw and not raw.endswith(b"\n"):
+        ends = np.append(ends, len(raw))
+    line_bytes = np.diff(ends, prepend=-1)  # digits plus the newline
+    # Both limits guard correctness: np.fromstring reads an empty line as 0
+    # ("\n" gives [0]) and silently clamps any value >= 2**63 to 2**63 - 1.
+    return not line_bytes.size or (
+        line_bytes.min() >= 2 and line_bytes.max() <= _PLAIN_MAX_DIGITS + 1
+    )
+
+
+def _parse_lines(path) -> np.ndarray:
+    """The general parser: one line at a time, any layout the loader accepts."""
     values = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
@@ -89,14 +129,21 @@ def load_timetags_text(path, kind: str, unit: str = "") -> TimeTagSeries:
                 raise FormatError(f"line {lineno}: no number found in {line.strip()!r}")
             if any(tok.isdigit() for tok in rest):
                 raise FormatError(f"line {lineno}: number after unit token in {line.strip()!r}")
-            values.append(int(digits))
-    return TimeTagSeries(np.asarray(values, dtype=np.int64), unit, kind)
+            value = int(digits)
+            if value > _INT64_MAX:
+                raise FormatError(f"line {lineno}: time value exceeds signed 64-bit range")
+            values.append(value)
+    return np.asarray(values, dtype=np.int64)
 
 
 def load_timetags_binary(path, kind: str, unit: str = "") -> TimeTagSeries:
     """64-bit little-endian unsigned integers."""
-    raw = np.fromfile(path, dtype="<u8")
-    if raw.size and raw.max() > np.iinfo(np.int64).max:
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if len(data) % 8:
+        raise FormatError(f"file size {len(data)} bytes is not a multiple of 8")
+    raw = np.frombuffer(data, dtype="<u8")
+    if raw.size and raw.max() > _INT64_MAX:
         raise FormatError("time value exceeds signed 64-bit range")
     return TimeTagSeries(raw.astype(np.int64), unit, kind)
 

@@ -49,6 +49,8 @@ class GeneratorConfig:
                 raise ValueError(f"{name} must be in [0, 1], got {v}")
         if self.dead_time < 0:
             raise ValueError("dead_time must be non-negative")
+        if self.afterpulse_delay < 0:
+            raise ValueError("afterpulse_delay must be non-negative")
         if self.kind == DETECTOR and not self.mean_interarrival > 0:
             raise ValueError("mean_interarrival must be positive")
 

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import randcert
@@ -193,6 +194,35 @@ class TestExtract:
         assert rc == EXIT_ERROR
         assert not out.exists()
 
+    def test_plain_and_grouped_tags_give_same_bits(self, tmp_path):
+        tags = [0, 592342, 1187976, 1781621, 999999999999, 1000000000007]
+        plain, grouped = tmp_path / "plain.txt", tmp_path / "grouped.txt"
+        plain.write_text("".join(f"{t}\n" for t in tags))
+        grouped.write_text("".join(f"{t:,} ps\n".replace(",", " ") for t in tags))
+        outs = []
+        for src in (plain, grouped):
+            out = tmp_path / f"{src.stem}.bits"
+            argv = ["extract", str(src), "--format", "text", "--kind", "timestamps"]
+            assert main(argv + ["--out", str(out)]) == EXIT_PASS
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize(
+        "fmt, data",
+        [
+            ("text", b"1\n9223372036854775808\n"),
+            ("binary", np.array([1, 2, 3], dtype="<u8").tobytes() + b"\x01\x02\x03"),
+        ],
+        ids=["text-beyond-int64", "binary-truncated"],
+    )
+    def test_bad_input_is_usage_error(self, tmp_path, capsys, fmt, data):
+        src = tmp_path / "tags"
+        src.write_bytes(data)
+        out = tmp_path / "o"
+        rc = main(["extract", str(src), "--format", fmt, "--kind", "timestamps", "--out", str(out)])
+        assert rc == EXIT_ERROR
+        assert not out.exists()
+
 
 class TestGenerate:
     def test_deterministic_output(self, tmp_path):
@@ -233,6 +263,13 @@ class TestGenerate:
         )
         assert rc == EXIT_PASS
         assert len(out.read_text().splitlines()) == 100
+
+    def test_negative_afterpulse_delay_is_usage_error(self, tmp_path, capsys):
+        argv = ["generate", "--kind", "detector", "--n", "1000", "--seed", "1"]
+        argv += ["--afterpulse-prob", "0.5", "--afterpulse-delay", "-5"]
+        out = tmp_path / "x"
+        assert main(argv + ["--out", str(out)]) == EXIT_ERROR
+        assert not out.exists()
 
     def test_bits_generator_cannot_emit_timetags(self, tmp_path):
         rc = main(

@@ -1,7 +1,11 @@
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from randcert import extract
 from randcert.errors import DataError, FormatError
@@ -112,6 +116,85 @@ class TestTimetagIO:
         s = series([0, 2**40, 17])
         write_timetags_binary(s, p)
         assert load_timetags_binary(p, "interarrivals").values.tolist() == [0, 2**40, 17]
+
+    def test_binary_truncated(self, tmp_path):
+        p = tmp_path / "tags.bin"
+        p.write_bytes(np.array([1, 2, 3], dtype="<u8").tobytes() + b"\x01\x02\x03")
+        with pytest.raises(FormatError, match="27 bytes is not a multiple of 8"):
+            load_timetags_binary(p, "interarrivals")
+
+    @pytest.mark.parametrize(
+        "text, values",
+        [("\n", []), ("1\n2", [1, 2]), ("9223372036854775807\n", [2**63 - 1])],
+        ids=["only-newline", "no-final-newline", "int64-max"],
+    )
+    def test_text_edge_values(self, tmp_path, text, values):
+        # "\n" is where np.fromstring would read [0]
+        p = tmp_path / "tags.txt"
+        p.write_bytes(text.encode())
+        assert load_timetags_text(p, "interarrivals").values.tolist() == values
+
+    @pytest.mark.parametrize(
+        "text", ["100\n9223372036854775808\n", "100\n9 223 372 036 854 775 808 ps\n"]
+    )
+    def test_text_beyond_int64_is_format_error(self, tmp_path, text):
+        p = tmp_path / "tags.txt"
+        p.write_text(text)
+        with pytest.raises(FormatError, match="^line 2: time value exceeds signed 64-bit range$"):
+            load_timetags_text(p, "interarrivals")
+
+
+def _digit_runs():
+    return st.one_of(
+        st.text("0123456789", min_size=1, max_size=20),
+        st.integers(2**63 - 3, 2**63 + 3).map(str),
+        st.builds(lambda z, v: "0" * z + str(v), st.integers(1, 3), st.integers(0, 10**17)),
+    ).map(str.encode)
+
+
+def _lines():
+    token = st.one_of(
+        _digit_runs(), st.sampled_from([b"ps", b"ns", b"x9"]), st.binary(min_size=1, max_size=3)
+    )
+    return st.one_of(
+        _digit_runs(),
+        st.lists(token, min_size=1, max_size=4).map(b" ".join),
+        st.sampled_from([b"", b" ", b"\t"]),
+    )
+
+
+@st.composite
+def timetag_files(draw):
+    """Plain files (digit runs and "\n" only) half the time, mixed layouts otherwise."""
+    if draw(st.booleans()):
+        lines, ends = st.lists(_digit_runs(), max_size=12), st.just(b"\n")
+    else:
+        lines = st.lists(_lines(), max_size=12)
+        ends = st.sampled_from([b"\n", b"\n", b"\r\n", b"\r"])
+    raw = b"".join(line + draw(ends) for line in draw(lines))
+    if raw and draw(st.booleans()):
+        raw = raw[:-1]  # no final newline, or a CRLF cut to a lone "\r"
+    return raw
+
+
+def _outcome(load, path):
+    try:
+        return load(path).tolist()
+    except ValueError as exc:  # FormatError, or a decode error from garbage bytes
+        return type(exc), str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(raw=timetag_files())
+def test_text_fast_path_matches_line_parser(tmp_path_factory, raw):
+    p = tmp_path_factory.getbasetemp() / "fuzz-tags.txt"
+    p.write_bytes(raw)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _outcome(lambda q: load_timetags_text(q, "interarrivals").values, p)
+    assert got == _outcome(extract._parse_lines, p)
+    plain = re.fullmatch(rb"(?:[0-9]{1,18}\n)*(?:[0-9]{1,18})?", raw)
+    assert extract._is_plain(raw) == bool(plain)
 
 
 def truncated_exponential(rate=1.0, a=0.0, b=10.0):

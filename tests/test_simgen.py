@@ -26,6 +26,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             GeneratorConfig("detector", n=8, seed=0, dead_time=-1.0)
 
+    def test_rejects_negative_afterpulse_delay(self):
+        with pytest.raises(ValueError, match="afterpulse_delay"):
+            GeneratorConfig("detector", n=8, seed=0, afterpulse_prob=0.5, afterpulse_delay=-5.0)
+        GeneratorConfig("detector", n=8, seed=0, afterpulse_prob=0.5, afterpulse_delay=0.0)
+
     def test_kind_checked_by_generators(self):
         cfg = GeneratorConfig("bernoulli", n=8, seed=0)
         with pytest.raises(ValueError):
