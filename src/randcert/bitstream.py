@@ -7,6 +7,7 @@ two sequences are equal iff their (n, storage) pairs are equal.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -14,8 +15,9 @@ import numpy as np
 
 from .errors import FormatError
 
-_ASCII_BITS = frozenset(b"01")
-_ASCII_WS = frozenset(b" \t\r\n\x0b\x0c")
+_ASCII_WS = np.isin(np.arange(256), list(b" \t\r\n\x0b\x0c"))  # indexed by byte value
+_ASCII_CHUNK = 1 << 23  # bits per chunk that load_ascii takes from stream_ascii
+_SLAB = 1 << 20  # bytes read, or packed bytes rendered, at a time
 
 
 @dataclass(frozen=True)
@@ -38,7 +40,9 @@ class BitSequence:
         return self.n
 
     def __getitem__(self, k: int) -> int:
-        return bit_at(self, k)
+        if not 0 <= k < self.n:
+            raise IndexError(f"bit index {k} out of range for n={self.n}")
+        return (self.data[k >> 3] >> (7 - (k & 7))) & 1
 
     @classmethod
     def from_bits(cls, bits: Iterable[int]) -> "BitSequence":
@@ -64,34 +68,23 @@ class BitSequence:
         return np.unpackbits(np.frombuffer(self.data, dtype=np.uint8))[: self.n]
 
 
-def bit_at(seq: BitSequence, k: int) -> int:
-    if not 0 <= k < seq.n:
-        raise IndexError(f"bit index {k} out of range for n={seq.n}")
-    return (seq.data[k >> 3] >> (7 - (k & 7))) & 1
-
-
 def _bits_from_ascii(chunk: bytes, base_offset: int) -> np.ndarray:
     arr = np.frombuffer(chunk, dtype=np.uint8)
-    is_zero = arr == ord("0")
-    is_one = arr == ord("1")
-    is_ws = np.isin(arr, np.frombuffer(bytes(_ASCII_WS), dtype=np.uint8))
-    bad = ~(is_zero | is_one | is_ws)
-    if bad.any():
-        off = int(np.argmax(bad))
+    is_bit = (arr | 1) == ord("1")  # "0" and "1" differ only in the low bit
+    ok = _ASCII_WS[arr] | is_bit
+    if not ok.all():
+        off = int(np.argmin(ok))
         raise FormatError(
             f"invalid character {chunk[off:off + 1]!r} at byte offset "
             f"{base_offset + off} (expected '0', '1' or whitespace)",
             offset=base_offset + off,
         )
-    return arr[is_zero | is_one] - ord("0")
+    return arr[is_bit] & 1
 
 
 def load_ascii(path) -> BitSequence:
     """Read a '0'/'1' text file; whitespace is skipped."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    bits = _bits_from_ascii(raw, 0)
-    return BitSequence(np.packbits(bits).tobytes(), int(bits.size))
+    return concat(stream_ascii(path, _ASCII_CHUNK))
 
 
 def load_packed(path, n: int | None = None) -> BitSequence:
@@ -105,14 +98,15 @@ def load_packed(path, n: int | None = None) -> BitSequence:
     return BitSequence.from_bytes(raw, n)
 
 
-def render_ascii(seq: BitSequence) -> str:
-    return "".join("01"[b] for b in seq.to_bit_array())
-
-
 def write_ascii(seq: BitSequence, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(render_ascii(seq))
-        fh.write("\n")
+    """Write the bits as '0'/'1' text ended by one newline."""
+    data = np.frombuffer(seq.data, dtype=np.uint8)
+    with open(path, "wb") as fh:
+        for a in range(0, data.size, _SLAB):
+            text = np.unpackbits(data[a : a + _SLAB])[: seq.n - 8 * a]
+            text |= ord("0")
+            fh.write(text)
+        fh.write(b"\n")
 
 
 def write_packed(seq: BitSequence, path) -> None:
@@ -121,36 +115,33 @@ def write_packed(seq: BitSequence, path) -> None:
 
 
 def stream_ascii(path, chunk_bits: int) -> Iterator[BitSequence]:
-    """Yield BitSequence chunks of exactly chunk_bits bits (last may be short).
-
-    chunk_bits should be a multiple of the consumer's block length so that
-    per-chunk block counting never splits a block.
-    """
-    if chunk_bits <= 0:
-        raise ValueError("chunk_bits must be positive")
-    pending = np.empty(0, dtype=np.uint8)
+    """Yield chunks of exactly chunk_bits bits (the last may be short) from a
+    '0'/'1' text file. chunk_bits must be a multiple of 8, and of the block
+    length when per-chunk block counts are to be merged."""
+    if chunk_bits <= 0 or chunk_bits % 8:
+        raise ValueError("chunk_bits must be a positive multiple of 8")
+    packed = bytearray()
+    loose = np.empty(0, dtype=np.uint8)  # the fewer than 8 bits not yet packed
     offset = 0
     with open(path, "rb") as fh:
-        while True:
-            raw = fh.read(1 << 20)
-            if not raw:
-                break
-            bits = _bits_from_ascii(raw, offset)
+        while raw := fh.read(_SLAB):
+            bits = np.concatenate([loose, _bits_from_ascii(raw, offset)])
             offset += len(raw)
-            pending = np.concatenate([pending, bits])
-            while pending.size >= chunk_bits:
-                head, pending = pending[:chunk_bits], pending[chunk_bits:]
-                yield BitSequence(np.packbits(head).tobytes(), chunk_bits)
-    if pending.size:
-        yield BitSequence(np.packbits(pending).tobytes(), int(pending.size))
+            whole = bits.size - bits.size % 8
+            packed += np.packbits(bits[:whole]).tobytes()
+            loose = bits[whole:]
+            while 8 * len(packed) >= chunk_bits:
+                yield BitSequence(bytes(packed[: chunk_bits // 8]), chunk_bits)
+                del packed[: chunk_bits // 8]
+    tail = 8 * len(packed) + loose.size
+    if tail:
+        yield BitSequence(bytes(packed) + np.packbits(loose).tobytes(), tail)
 
 
 def stream_packed(path, chunk_bits: int, n: int | None = None) -> Iterator[BitSequence]:
     """Yield chunks from a packed file; chunk_bits must be a multiple of 8."""
     if chunk_bits <= 0 or chunk_bits % 8:
         raise ValueError("chunk_bits must be a positive multiple of 8")
-    import os
-
     size_bits = 8 * os.path.getsize(path)
     if n is None:
         n = size_bits
@@ -166,9 +157,8 @@ def stream_packed(path, chunk_bits: int, n: int | None = None) -> Iterator[BitSe
 
 
 def concat(chunks: Iterable[BitSequence]) -> BitSequence:
-    """Join chunks back into one sequence (used to check streaming parity)."""
-    parts = [c.to_bit_array() for c in chunks]
-    if not parts:
-        return BitSequence(b"", 0)
-    bits = np.concatenate(parts)
-    return BitSequence(np.packbits(bits).tobytes(), int(bits.size))
+    """Join chunks into one sequence; only the last may end inside a byte."""
+    chunks = list(chunks)
+    if any(c.n % 8 for c in chunks[:-1]):
+        raise ValueError("only the last chunk may end inside a byte")
+    return BitSequence(b"".join(c.data for c in chunks), sum(c.n for c in chunks))

@@ -18,6 +18,10 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_ERROR = 2
 
+# Level 5 has B_32 partition models, and even the 2-block cap leaves 2^31 of
+# them, beyond what enumerate_partitions will walk; it stays bound-only.
+POSTERIOR_MAX_LEVEL = 4
+
 
 def _load_bits(path: str, fmt: str, n: int | None) -> bitstream.BitSequence:
     if fmt == "ascii":
@@ -56,7 +60,7 @@ def cmd_analyze(args) -> int:
     }
     if args.bayes_posterior:
         posterior_levels = []
-        for c in counts:
+        for c in counts[:POSTERIOR_MAX_LEVEL]:
             cap = args.max_blocks if (1 << c.level) > 8 else None
             models = list(partitions.enumerate_partitions(1 << c.level, cap))
             posterior_levels.append(bayes.posterior(c, models).to_json_dict())

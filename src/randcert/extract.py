@@ -17,6 +17,9 @@ from .bitstream import BitSequence
 from .errors import DataError, FormatError, NumericError
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
+# ASCII whitespace as str.split() and str.strip() see it; the bytes methods miss \x1c-\x1f
+_STR_WS = b" \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f"
+_STR_WS_TO_SPACE = bytes.maketrans(_STR_WS, b" " * len(_STR_WS))
 
 TIMESTAMPS = "timestamps"
 INTERARRIVALS = "interarrivals"
@@ -83,8 +86,7 @@ def load_timetags_text(path, kind: str, unit: str = "") -> TimeTagSeries:
         raw = fh.read()
     if _is_plain(raw):
         return TimeTagSeries(np.fromstring(raw, dtype=np.int64, sep="\n"), unit, kind)
-    del raw  # the line parser reads the file again; do not hold its bytes meanwhile
-    return TimeTagSeries(_parse_lines(path), unit, kind)
+    return TimeTagSeries(_parse_lines(raw), unit, kind)
 
 
 _PLAIN_MAX_DIGITS = 18  # 10**18 - 1 < 2**63 - 1, so no plain value overflows int64
@@ -109,30 +111,30 @@ def _is_plain(raw: bytes) -> bool:
     )
 
 
-def _parse_lines(path) -> np.ndarray:
-    """The general parser: one line at a time, any layout the loader accepts."""
+def _parse_lines(raw: bytes) -> np.ndarray:
+    """The general parser: one line at a time, any layout the loader accepts.
+    Digits are ASCII only (bytes.isdigit); lines end at "\\n", "\\r\\n" or "\\r"."""
     values = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            tokens = line.split()
-            if not tokens:
-                continue
-            digits = ""
-            rest = []
-            for pos, tok in enumerate(tokens):
-                if tok.isdigit() and not rest:
-                    digits += tok
-                else:
-                    rest = tokens[pos:]
-                    break
-            if not digits:
-                raise FormatError(f"line {lineno}: no number found in {line.strip()!r}")
-            if any(tok.isdigit() for tok in rest):
-                raise FormatError(f"line {lineno}: number after unit token in {line.strip()!r}")
-            value = int(digits)
-            if value > _INT64_MAX:
-                raise FormatError(f"line {lineno}: time value exceeds signed 64-bit range")
-            values.append(value)
+    for lineno, line in enumerate(raw.splitlines(), 1):
+        tokens = line.translate(_STR_WS_TO_SPACE).split()
+        if not tokens:
+            continue
+        digits = b""
+        rest = []
+        for pos, tok in enumerate(tokens):
+            if tok.isdigit() and not rest:
+                digits += tok
+            else:
+                rest = tokens[pos:]
+                break
+        if not digits or any(tok.isdigit() for tok in rest):
+            what = "number after unit token" if digits else "no number found"
+            shown = repr(line.strip(_STR_WS))[1:]  # bytes repr without the b; non-ASCII as \xNN
+            raise FormatError(f"line {lineno}: {what} in {shown}")
+        value = int(digits)
+        if value > _INT64_MAX:
+            raise FormatError(f"line {lineno}: time value exceeds signed 64-bit range")
+        values.append(value)
     return np.asarray(values, dtype=np.int64)
 
 

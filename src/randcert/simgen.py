@@ -8,9 +8,8 @@ produce identical output bytes on every platform and numpy version.
 
 from __future__ import annotations
 
-import heapq
-import itertools
 import math
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -126,7 +125,7 @@ def gen_detector(cfg: GeneratorConfig) -> tuple[TimeTagSeries, BitSequence]:
     injected on the same detector after afterpulse_delay (the coin comes
     from a second Philox stream keyed seed + 2**64, so the arrival stream
     is unaffected, and is drawn only when afterpulse_prob > 0). One loop
-    merges the arrivals with a heap of pending after-pulses, which stays
+    merges the arrivals with a queue of pending after-pulses, which stays
     empty without after-pulsing. Returns the merged recorded time tags
     (rounded to integer units) and the detector-identity bits, both of
     length n.
@@ -140,12 +139,13 @@ def gen_detector(cfg: GeneratorConfig) -> tuple[TimeTagSeries, BitSequence]:
     recorded = 0
     last = [-math.inf, -math.inf]
     tau, prob = cfg.dead_time, cfg.afterpulse_prob
-    pending: list[tuple[float, int, int]] = []  # (time, order, detector)
-    order = itertools.count()
+    # (time, detector); recorded times never decrease, so neither do the
+    # after-pulse times pushed, and a FIFO pops them in time order
+    pending: deque[tuple[float, int]] = deque()
     t_next, d_next = next(arrivals)
     while recorded < cfg.n:
         if pending and pending[0][0] <= t_next:
-            t, _, det = heapq.heappop(pending)
+            t, det = pending.popleft()
         else:
             t, det = t_next, d_next
             t_next, d_next = next(arrivals)
@@ -156,7 +156,7 @@ def gen_detector(cfg: GeneratorConfig) -> tuple[TimeTagSeries, BitSequence]:
         bits[recorded] = det
         recorded += 1
         if prob > 0 and next(coins) < prob:
-            heapq.heappush(pending, (t + cfg.afterpulse_delay, next(order), det))
+            pending.append((t + cfg.afterpulse_delay, det))
     tags = TimeTagSeries(np.rint(times).astype(np.int64), "unit", TIMESTAMPS)
     return tags, BitSequence(np.packbits(bits).tobytes(), cfg.n)
 

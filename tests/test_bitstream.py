@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from randcert import bitstream
+from randcert import bitstream, simgen
 from randcert.bitstream import BitSequence
 from randcert.errors import FormatError
 
@@ -28,6 +29,24 @@ class TestLoadAscii:
         with pytest.raises(FormatError) as exc:
             bitstream.load_ascii(p)
         assert exc.value.offset == 2
+
+    def test_bad_character_after_first_read(self, tmp_bits_file):
+        p = tmp_bits_file("b.txt", "01" * 524290 + "x0101")
+        with pytest.raises(FormatError, match="at byte offset 1048580 ") as exc:
+            bitstream.load_ascii(p)
+        assert exc.value.offset == 1048580
+
+    def test_peak_memory_flat(self, tmp_bits_file):
+        # 2^24 + 1 bits; the spaces make reads end inside a byte of bits
+        p = tmp_bits_file("big.txt", "0110 " * (1 << 22) + "1\n")
+        tracemalloc.start()
+        try:
+            seq = bitstream.load_ascii(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert seq == BitSequence(b"\x66" * (1 << 21) + b"\x80", (1 << 24) + 1)
+        assert peak < 32 << 20
 
     def test_unreadable_file(self, tmp_path):
         with pytest.raises(OSError):
@@ -108,9 +127,9 @@ class TestBitAt:
     def test_out_of_range(self):
         seq = bits_from_string("101")
         with pytest.raises(IndexError):
-            bitstream.bit_at(seq, 3)
+            seq[3]
         with pytest.raises(IndexError):
-            bitstream.bit_at(seq, -1)
+            seq[-1]
 
 
 @given(bits=st.lists(st.integers(0, 1), max_size=200))
@@ -130,8 +149,21 @@ def test_ascii_roundtrip(tmp_path_factory, bits):
     assert bitstream.load_ascii(p) == seq
 
 
-def test_render_ascii():
-    assert bitstream.render_ascii(bits_from_string("1101")) == "1101"
+def test_write_ascii_bytes(tmp_path):
+    p = tmp_path / "w.txt"
+    bitstream.write_ascii(bits_from_string("1101"), p)
+    assert p.read_bytes() == b"1101\n"
+    bitstream.write_ascii(BitSequence(b"", 0), p)
+    assert p.read_bytes() == b"\n"
+
+
+def test_write_ascii_pinned_digest(tmp_path):
+    seq = simgen.gen_bernoulli(simgen.GeneratorConfig("bernoulli", n=(1 << 20) + 3, seed=1))
+    p = tmp_path / "w.txt"
+    bitstream.write_ascii(seq, p)
+    assert hashlib.sha256(p.read_bytes()).hexdigest() == (
+        "0a265b5d39e4dc5f6b3bd61501fea377d2312400745e30713dbd2caaaedd9511"
+    )
 
 
 @pytest.mark.parametrize("chunk_bits", [8, 24, 128])
@@ -144,7 +176,7 @@ def test_stream_matches_whole_file_packed(tmp_bits_file, chunk_bits):
     assert bitstream.concat(chunks) == whole
 
 
-@pytest.mark.parametrize("chunk_bits", [3, 10, 1000])
+@pytest.mark.parametrize("chunk_bits", [8, 16, 1000])
 def test_stream_matches_whole_file_ascii(tmp_bits_file, chunk_bits):
     text = "1101 0010\n0111\n10"
     p = tmp_bits_file("s.txt", text)
@@ -156,3 +188,17 @@ def test_stream_packed_rejects_unaligned_chunk(tmp_bits_file):
     p = tmp_bits_file("s.bin", b"\x00", binary=True)
     with pytest.raises(ValueError):
         list(bitstream.stream_packed(p, 12))
+
+
+def test_stream_ascii_rejects_unaligned_chunk(tmp_bits_file):
+    p = tmp_bits_file("s.txt", "0101")
+    with pytest.raises(ValueError, match="positive multiple of 8"):
+        list(bitstream.stream_ascii(p, 12))
+
+
+def test_concat_refuses_inner_chunk_ending_inside_a_byte():
+    with pytest.raises(ValueError, match="only the last chunk"):
+        bitstream.concat([bits_from_string("101"), bits_from_string("1")])
+    assert bitstream.concat([bits_from_string("10110011"), bits_from_string("1")]) == (
+        bits_from_string("101100111")
+    )

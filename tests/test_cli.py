@@ -79,6 +79,20 @@ class TestAnalyze:
         assert report["posterior"][0]["symmetric_posterior"] is not None
         assert rc in (EXIT_PASS, EXIT_FAIL)
 
+    def test_posterior_stops_at_level_four(self, tmp_path, monkeypatch, capsys):
+        p = tmp_path / "small.txt"
+        bitstream.write_ascii(
+            simgen.gen_bernoulli(simgen.GeneratorConfig("bernoulli", n=4096, seed=9)), p
+        )
+        monkeypatch.setattr(blockstats, "max_borel_level", lambda n: 5)
+        out = tmp_path / "r.json"
+        rc = main(
+            ["analyze", str(p), "--format", "ascii", "--bayes-posterior", "--json", str(out)]
+        )
+        assert rc in (EXIT_PASS, EXIT_FAIL)
+        report = json.loads(out.read_text())
+        assert [level["level"] for level in report["posterior"]] == [1, 2, 3, 4]
+        assert len(report["bayes_bound"]["levels"]) == 5
 
     @pytest.mark.parametrize("extra", [[], ["--bayes-posterior"]])
     def test_counts_each_level_once(self, tmp_path, monkeypatch, capsys, extra):
@@ -208,20 +222,34 @@ class TestExtract:
         assert outs[0] == outs[1]
 
     @pytest.mark.parametrize(
-        "fmt, data",
+        "fmt, data, error",
         [
-            ("text", b"1\n9223372036854775808\n"),
-            ("binary", np.array([1, 2, 3], dtype="<u8").tobytes() + b"\x01\x02\x03"),
+            ("text", b"1\n9223372036854775808\n", "line 2: time value exceeds"),
+            (
+                "binary",
+                np.array([1, 2, 3], dtype="<u8").tobytes() + b"\x01\x02\x03",
+                "file size 27 bytes",
+            ),
+            ("text", b"100\n200\n\xd9\xa3\xd9\xa3\xd9\xa3\n", "line 3: no number found"),
+            ("text", "100\n2\u00b2\n".encode(), "line 2: no number found"),
+            ("text", b"100\n\xff\n", "line 2: no number found"),
         ],
-        ids=["text-beyond-int64", "binary-truncated"],
+        ids=[
+            "text-beyond-int64",
+            "binary-truncated",
+            "text-arabic-indic-three",
+            "text-superscript-two",
+            "text-non-utf8-byte",
+        ],
     )
-    def test_bad_input_is_usage_error(self, tmp_path, capsys, fmt, data):
+    def test_bad_input_is_usage_error(self, tmp_path, capsys, fmt, data, error):
         src = tmp_path / "tags"
         src.write_bytes(data)
         out = tmp_path / "o"
         rc = main(["extract", str(src), "--format", fmt, "--kind", "timestamps", "--out", str(out)])
         assert rc == EXIT_ERROR
         assert not out.exists()
+        assert capsys.readouterr().err.startswith(f"error: {error}")
 
 
 class TestGenerate:

@@ -125,8 +125,13 @@ class TestTimetagIO:
 
     @pytest.mark.parametrize(
         "text, values",
-        [("\n", []), ("1\n2", [1, 2]), ("9223372036854775807\n", [2**63 - 1])],
-        ids=["only-newline", "no-final-newline", "int64-max"],
+        [
+            ("\n", []),
+            ("1\n2", [1, 2]),
+            ("9223372036854775807\n", [2**63 - 1]),
+            ("12\x1f34 ps\n\x1c5\x1d\n", [1234, 5]),
+        ],
+        ids=["only-newline", "no-final-newline", "int64-max", "ascii-separators"],
     )
     def test_text_edge_values(self, tmp_path, text, values):
         # "\n" is where np.fromstring would read [0]
@@ -142,6 +147,26 @@ class TestTimetagIO:
         p.write_text(text)
         with pytest.raises(FormatError, match="^line 2: time value exceeds signed 64-bit range$"):
             load_timetags_text(p, "interarrivals")
+
+    @pytest.mark.parametrize(
+        "raw, message",
+        [
+            (
+                b"100\n200\n\xd9\xa3\xd9\xa3\xd9\xa3\n",
+                r"line 3: no number found in '\xd9\xa3\xd9\xa3\xd9\xa3'",
+            ),
+            ("100\n2\u00b2\n".encode(), r"line 2: no number found in '2\xc2\xb2'"),
+            (b"100\n\xff\n", r"line 2: no number found in '\xff'"),
+            (b"100\n\x1eps\x1f\n", "line 2: no number found in 'ps'"),
+        ],
+        ids=["arabic-indic-three", "superscript-two", "non-utf8-byte", "ascii-separators"],
+    )
+    def test_text_bad_line_is_format_error_with_line(self, tmp_path, raw, message):
+        p = tmp_path / "tags.txt"
+        p.write_bytes(raw)
+        with pytest.raises(FormatError) as exc:
+            load_timetags_text(p, "timestamps")
+        assert str(exc.value) == message
 
 
 def _digit_runs():
@@ -180,7 +205,7 @@ def timetag_files(draw):
 def _outcome(load, path):
     try:
         return load(path).tolist()
-    except ValueError as exc:  # FormatError, or a decode error from garbage bytes
+    except ValueError as exc:  # FormatError, naming the bad line
         return type(exc), str(exc)
 
 
@@ -192,7 +217,7 @@ def test_text_fast_path_matches_line_parser(tmp_path_factory, raw):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = _outcome(lambda q: load_timetags_text(q, "interarrivals").values, p)
-    assert got == _outcome(extract._parse_lines, p)
+    assert got == _outcome(lambda q: extract._parse_lines(q.read_bytes()), p)
     plain = re.fullmatch(rb"(?:[0-9]{1,18}\n)*(?:[0-9]{1,18})?", raw)
     assert extract._is_plain(raw) == bool(plain)
 
