@@ -6,10 +6,16 @@ each of the 2^i possible substrings are counted. Substrings map to counter
 indices by reading the i bits as a big-endian integer ("10" -> 2).
 
 Counting works on the packed bytes directly and never unpacks the
-sequence: the bits are walked in whole periods of lcm(i, 8) bits, which
-always start on a byte and hold a fixed number of blocks, a bounded slab
-of periods at a time, so working memory does not grow with n. The blocks
-after the last whole period are counted on their own.
+sequence. A set of levels is counted in one walk over whole periods of
+lcm(8, *levels) bits (120 bits for levels 1..5), which always start on a
+byte and hold a fixed number of blocks of every level, a bounded slab of
+periods at a time, so working memory does not grow with n. Every block of
+a level up to 9 lies in one byte of the period or in the 16-bit window of
+a byte and the next, so the walk only histograms those windows and the
+bytes no window covers, and folds each block's counts out of them. Levels
+10 and up, reachable only through count_blocks, gather each block from the
+bytes it touches. The blocks after the last whole period are counted on
+their own.
 """
 
 from __future__ import annotations
@@ -27,8 +33,13 @@ from .bitstream import BitSequence
 # Dense 2^i counter vectors become impractical past this level.
 MAX_LEVEL = 24
 
-# Values fed to one bincount, which copies them to intp: 1 MiB of working memory.
+# Periods (or gathered blocks) fed to one bincount, which copies them to
+# intp: 1 MiB of working memory.
 _SLAB = 1 << 17
+
+# The longest block that always lies in one byte or in a 16-bit window of a
+# byte and the next (7 bits of skip + 9); longer blocks are gathered.
+_WINDOW_LEVEL = 9
 
 
 @dataclass(frozen=True)
@@ -104,64 +115,120 @@ def _check_level(n: int, i: int):
         raise ValueError(f"sequence of {n} bits has no complete block of length {i}")
 
 
-def _count_packed(data: np.ndarray, nbits: int, i: int) -> np.ndarray:
-    """Counts of the nbits // i blocks of the first nbits bits of packed bytes.
+def _fold(hist: np.ndarray, width: int, skip: int, i: int) -> np.ndarray:
+    """Counts of the i bits after the first skip of a histogram of width-bit values."""
+    return hist.reshape(1 << skip, 1 << i, 1 << (width - skip - i)).sum(axis=(0, 2))
 
-    Whole periods of lcm(i, 8) bits are counted slab by slab, each slab
-    feeding at most max(_SLAB, 2^i) values to one bincount; for i dividing
-    8 the values are bytes, whose histogram is folded into i-bit counts,
-    otherwise they are the blocks themselves, read from the one to four
-    bytes each block touches. The blocks after the last whole period are
-    read from one Python integer, so pad bits beyond nbits are never read
-    as data.
+
+def _fold_windows(periods: np.ndarray, levels: tuple[int, ...]) -> list[np.ndarray]:
+    """Counts of the blocks of every level (each at most _WINDOW_LEVEL) in
+    periods, one whole lcm(8, *levels)-bit period of packed bytes per row.
+
+    Every block lies in one byte of the period, or, when it crosses into the
+    next byte, in the big-endian 16-bit window of that byte and the next;
+    the last block of a period ends on the period boundary, so no window
+    leaves it. One walk, _SLAB periods at a time, histograms each window
+    that a block crosses (2^16 bins) and each byte that no window covers
+    (256 bins), and folds each window's histogram into its crossing blocks'
+    counts and its two bytes' histograms before the next window is counted,
+    so only one window histogram is held at a time. The blocks inside one
+    byte are folded from the bytes' histograms at the end.
     """
-    period = math.lcm(i, 8)
-    pbytes, per_period = period // 8, period // i
-    full = nbits // period
+    pbytes = periods.shape[1]
+    # (level, byte, skip) of every block in one period
+    blocks = [(i, *divmod(o, 8)) for i in levels for o in range(0, 8 * pbytes, i)]
+    windows = {}  # byte -> (level, skip) of each block crossing into the next byte
+    for i, b, s in blocks:
+        if s + i > 8:
+            windows.setdefault(b, []).append((i, s))
+    counts = {i: np.zeros(1 << i, dtype=np.int64) for i in levels}
+    byte_hists = np.zeros((pbytes, 256), dtype=np.int64)
+    for a in range(0, len(periods), _SLAB):
+        slab = periods[a : a + _SLAB]
+        for p in range(pbytes):
+            if p in windows:
+                hist = np.bincount(slab[:, p : p + 2].view(">u2")[:, 0], minlength=1 << 16)
+                for i, s in windows[p]:
+                    counts[i] += _fold(hist, 16, s, i)
+                byte_hists[p] += _fold(hist, 16, 0, 8)
+                if p + 1 not in windows:
+                    byte_hists[p + 1] += _fold(hist, 16, 8, 8)
+                del hist  # freed before the next window's bincount
+            elif p - 1 not in windows:
+                byte_hists[p] += np.bincount(slab[:, p], minlength=256)
+    for i, b, s in blocks:
+        if s + i <= 8:
+            counts[i] += _fold(byte_hists[b], 8, s, i)
+    return [counts[i] for i in levels]
+
+
+def _gather(periods: np.ndarray, levels: tuple[int, ...]) -> list[np.ndarray]:
+    """Counts of the blocks of the one level i in levels in periods, one
+    whole lcm(i, 8)-bit period per row: each block is read from the bytes it
+    touches, at most max(_SLAB, 2^i) blocks to one bincount."""
+    (i,) = levels
+    per_period = 8 * periods.shape[1] // i
     mask = (1 << i) - 1
     counts = np.zeros(1 << i, dtype=np.int64)
-    if pbytes == 1:
-        hist = np.zeros(256, dtype=np.int64)
-        for a in range(0, full, _SLAB):
-            hist += np.bincount(data[a : min(a + _SLAB, full)], minlength=256)
-        byte = np.arange(256)
-        for k in range(per_period):
-            np.add.at(counts, (byte >> (8 - i * (k + 1))) & mask, hist)
-    else:
-        periods = data[: full * pbytes].reshape(full, pbytes)
-        rows = max(1, max(_SLAB, 1 << i) // per_period)
-        buf = np.empty((per_period, min(rows, full)), dtype=np.uint16 if i <= 9 else np.uint32)
-        for a in range(0, full, rows):
-            slab = periods[a : a + rows]
-            vals = buf[:, : len(slab)]
-            for k, w in enumerate(vals):
-                first, skip = divmod(k * i, 8)
-                touched = (skip + i + 7) // 8
-                np.copyto(w, slab[:, first], casting="unsafe")
-                for t in range(first + 1, first + touched):
-                    w <<= 8
-                    w |= slab[:, t]
-                w >>= 8 * touched - skip - i
-                w &= mask
-            counts += np.bincount(vals.ravel(), minlength=1 << i)
-    tail = nbits // i - full * per_period  # blocks after the last whole period
-    tail_bytes = data[full * pbytes : full * pbytes + (tail * i + 7) // 8].tobytes()
-    word, width = int.from_bytes(tail_bytes, "big"), 8 * len(tail_bytes)
-    for k in range(1, tail + 1):
-        counts[(word >> (width - k * i)) & mask] += 1
-    return counts
+    rows = max(1, max(_SLAB, 1 << i) // per_period)
+    buf = np.empty((per_period, min(rows, len(periods))), dtype=np.uint32)
+    for a in range(0, len(periods), rows):
+        slab = periods[a : a + rows]
+        vals = buf[:, : len(slab)]
+        for k, w in enumerate(vals):
+            first, skip = divmod(k * i, 8)
+            touched = (skip + i + 7) // 8
+            np.copyto(w, slab[:, first], casting="unsafe")
+            for t in range(first + 1, first + touched):
+                w <<= 8
+                w |= slab[:, t]
+            w >>= 8 * touched - skip - i
+            w &= mask
+        counts += np.bincount(vals.ravel(), minlength=1 << i)
+    return [counts]
+
+
+def _count_packed(data: np.ndarray, nbits: int, levels) -> list[np.ndarray]:
+    """Counts of the nbits // i blocks of the first nbits bits of packed bytes,
+    one vector per level i in levels.
+
+    Levels up to _WINDOW_LEVEL are counted together in one walk over whole
+    periods of lcm(8, *levels) bits (_fold_windows); each higher level walks
+    its own lcm(i, 8)-bit periods (_gather). The blocks after the last whole
+    period are read from one Python integer, so pad bits beyond nbits are
+    never read as data.
+    """
+    narrow = tuple(sorted({i for i in levels if i <= _WINDOW_LEVEL}))
+    walks = [(narrow, _fold_windows)] if narrow else []
+    walks += [((i,), _gather) for i in sorted(set(levels)) if i > _WINDOW_LEVEL]
+    counts = {}
+    for group, walk in walks:
+        period = math.lcm(8, *group)
+        full, pbytes = nbits // period, period // 8
+        rest = data[full * pbytes :]
+        for i, c in zip(group, walk(data[: full * pbytes].reshape(full, pbytes), group)):
+            tail = nbits // i - full * (period // i)  # blocks after the last whole period
+            tail_bytes = rest[: (tail * i + 7) // 8].tobytes()
+            word, width, mask = int.from_bytes(tail_bytes, "big"), 8 * len(tail_bytes), (1 << i) - 1
+            for k in range(1, tail + 1):
+                c[(word >> (width - k * i)) & mask] += 1
+            counts[i] = c
+    return [counts[i] for i in levels]
 
 
 def count_blocks(seq: BitSequence, i: int) -> BlockCounts:
     """Count occurrences of every i-bit substring over disjoint blocks."""
     _check_level(seq.n, i)
-    counts = _count_packed(np.frombuffer(seq.data, dtype=np.uint8), seq.n, i)
+    (counts,) = _count_packed(np.frombuffer(seq.data, dtype=np.uint8), seq.n, (i,))
     return BlockCounts(i, counts, seq.n // i)
 
 
 def level_counts(seq: BitSequence, levels: int | None = None) -> list[BlockCounts]:
-    """Block counts at levels 1..check_levels(seq.n, levels), each counted once."""
-    return [count_blocks(seq, i) for i in range(1, check_levels(seq.n, levels) + 1)]
+    """Block counts at levels 1..check_levels(seq.n, levels), all from one
+    walk over the packed bytes."""
+    top = range(1, check_levels(seq.n, levels) + 1)
+    counts = _count_packed(np.frombuffer(seq.data, dtype=np.uint8), seq.n, tuple(top))
+    return [BlockCounts(i, c, seq.n // i) for i, c in zip(top, counts)]
 
 
 def merge_counts(a: BlockCounts, b: BlockCounts) -> BlockCounts:
@@ -184,7 +251,8 @@ def count_blocks_parallel(seq: BitSequence, i: int, workers: int | None = None) 
 
     def count(s: int) -> BlockCounts:
         lo, hi = cuts[s], cuts[s + 1]
-        return BlockCounts(i, _count_packed(data[lo // 8 :], hi - lo, i), (hi - lo) // i)
+        (counts,) = _count_packed(data[lo // 8 :], hi - lo, (i,))
+        return BlockCounts(i, counts, (hi - lo) // i)
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return reduce(merge_counts, pool.map(count, range(workers)))

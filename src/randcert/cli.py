@@ -246,7 +246,7 @@ def main(argv=None) -> int:
         return EXIT_ERROR if exc.code else EXIT_PASS
     try:
         return args.func(args)
-    except (RandcertError, ValueError, OSError, IndexError) as exc:
+    except (RandcertError, ValueError, OSError, IndexError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

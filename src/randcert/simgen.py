@@ -8,6 +8,7 @@ produce identical output bytes on every platform and numpy version.
 
 from __future__ import annotations
 
+import io
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -21,6 +22,9 @@ BERNOULLI = "bernoulli"
 MARKOV = "markov"
 DETECTOR = "detector"
 
+# Uniforms drawn at a time; a multiple of 8, so the packed chunks written to
+# one buffer concatenate cleanly, and getvalue() hands that buffer over
+# without a copy.
 _CHUNK = 1 << 22
 _BATCH = 1 << 16  # uniforms per refill of the detector streams
 
@@ -71,9 +75,10 @@ def gen_bernoulli(cfg: GeneratorConfig) -> BitSequence:
     """n i.i.d. bits with P(1) = theta."""
     if cfg.kind != BERNOULLI:
         raise ValueError(f"config kind is {cfg.kind!r}, expected {BERNOULLI!r}")
-    packed = [np.packbits(u < cfg.theta) for u in _uniform_chunks(cfg.seed, cfg.n)]
-    # chunk size is a multiple of 8 bits, so packed chunks concatenate cleanly
-    return BitSequence(b"".join(packed), cfg.n)
+    out = io.BytesIO()
+    for u in _uniform_chunks(cfg.seed, cfg.n):
+        out.write(np.packbits(u < cfg.theta))
+    return BitSequence(out.getvalue(), cfg.n)
 
 
 def gen_markov(cfg: GeneratorConfig) -> BitSequence:
@@ -81,18 +86,18 @@ def gen_markov(cfg: GeneratorConfig) -> BitSequence:
     probability stay_prob. stay_prob = 1/2 reduces to Bernoulli(1/2)."""
     if cfg.kind != MARKOV:
         raise ValueError(f"config kind is {cfg.kind!r}, expected {MARKOV!r}")
-    packed = []
+    out = io.BytesIO()
     prev = np.uint8(0)
-    for u in _uniform_chunks(cfg.seed, cfg.n):
+    for k, u in enumerate(_uniform_chunks(cfg.seed, cfg.n)):
         flips = (u >= cfg.stay_prob).astype(np.uint8)
-        if not packed:
+        if k == 0:
             flips[0] = u[0] < 0.5  # the fair first bit, as a flip from 0
         bits = np.cumsum(flips, dtype=np.uint8)  # wraps mod 256, parity kept
         bits += prev
         bits &= 1
         prev = bits[-1]
-        packed.append(np.packbits(bits))
-    return BitSequence(b"".join(packed), cfg.n)
+        out.write(np.packbits(bits))
+    return BitSequence(out.getvalue(), cfg.n)
 
 
 def _uniforms(seed: int):

@@ -185,6 +185,12 @@ def _oracle_counts(seq: BitSequence, i: int) -> dict[int, int]:
     return Counter((value >> (seq.n - (k + 1) * i)) & ((1 << i) - 1) for k in range(nblocks))
 
 
+def _as_oracle(counts: np.ndarray) -> dict[int, int]:
+    """A count vector in _oracle_counts' form: nonzero entries only."""
+    nonzero = np.flatnonzero(counts)
+    return dict(zip(nonzero.tolist(), counts[nonzero].tolist()))
+
+
 @st.composite
 def level_and_sequence(draw):
     """A level 1..MAX_LEVEL and n >= i with every n mod lcm(i, 8) reachable,
@@ -204,8 +210,7 @@ def test_count_blocks_matches_bit_slice_oracle(case, slab):
     with mock.patch.object(blockstats, "_SLAB", slab):
         c = count_blocks(seq, i)
     assert c.total == seq.n // i
-    nonzero = np.flatnonzero(c.counts)
-    assert dict(zip(nonzero.tolist(), c.counts[nonzero].tolist())) == _oracle_counts(seq, i)
+    assert _as_oracle(c.counts) == _oracle_counts(seq, i)
 
 
 @settings(max_examples=60, deadline=None)
@@ -214,6 +219,43 @@ def test_parallel_matches_serial_any_workers(case, workers, slab):
     i, seq = case
     with mock.patch.object(blockstats, "_SLAB", slab):
         assert count_blocks_parallel(seq, i, workers=workers) == count_blocks(seq, i)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 5), st.integers(0, 12), st.integers(0, 119), st.integers(0, 2**32 - 1),
+       st.integers(1, 64))
+def test_level_counts_match_bit_slice_oracle(k, periods, residue, seed, slab):
+    """Every level 1..k from the one walk in 120-bit periods (levels 1..5),
+    for n at every residue mod 120 and random pad bits beyond n."""
+    n = max(periods * 120 + residue, 4)
+    rng = np.random.default_rng(seed)
+    seq = BitSequence(rng.integers(0, 256, (n + 7) // 8, dtype=np.uint8).tobytes(), n)
+    # let levels up to 5 through check_levels on short sequences
+    with (
+        mock.patch.object(blockstats, "max_borel_level", lambda n: 5),
+        mock.patch.object(blockstats, "_SLAB", slab),
+    ):
+        counts = level_counts(seq, k)
+    assert [c.level for c in counts] == list(range(1, k + 1))
+    for c in counts:
+        assert c.total == n // c.level
+        assert _as_oracle(c.counts) == _oracle_counts(seq, c.level)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(1, blockstats.MAX_LEVEL), min_size=1, max_size=4), st.data())
+def test_kernel_counts_any_levels(levels, data):
+    """One kernel call over levels in any order, repeats included, narrow ones
+    sharing one walk of lcm(8, *levels) bits and wide ones gathered, equals
+    the oracle per level."""
+    period = math.lcm(8, *[i for i in levels if i <= 9])
+    n = data.draw(st.integers(0, 3)) * period + data.draw(st.integers(0, period - 1))
+    n = max(n, *levels)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    seq = BitSequence(rng.integers(0, 256, (n + 7) // 8, dtype=np.uint8).tobytes(), n)
+    with mock.patch.object(blockstats, "_SLAB", data.draw(st.integers(1, 16))):
+        counts = blockstats._count_packed(np.frombuffer(seq.data, dtype=np.uint8), n, levels)
+    assert [_as_oracle(c) for c in counts] == [_oracle_counts(seq, i) for i in levels]
 
 
 @pytest.fixture(scope="module")
@@ -239,18 +281,63 @@ def test_streamed_chunk_counts_merge_to_whole_file(packed_path, i, periods, data
     assert merged == count_blocks(load_packed(packed_path, n), i)
 
 
-def _count_peak_bytes(nbits: int) -> int:
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6), st.data())
+def test_streamed_kernel_counts_merge_to_whole_file(packed_path, periods, data):
+    """Chunks of a multiple of 120 bits split no block of levels 1..5, so the
+    kernel's per-chunk counts over all five levels sum to the whole file's."""
+    levels = (1, 2, 3, 4, 5)
+    chunk_bits = periods * 120
+    n = data.draw(st.integers(0, 4)) * chunk_bits + data.draw(st.integers(0, chunk_bits - 1))
+    n = max(n, 1)
+    nbytes = (n + 7) // 8 + data.draw(st.integers(0, 2))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    packed_path.write_bytes(rng.integers(0, 256, nbytes, dtype=np.uint8).tobytes())
+
+    def kernel(seq):
+        return blockstats._count_packed(np.frombuffer(seq.data, dtype=np.uint8), seq.n, levels)
+
+    chunks = stream_packed(packed_path, chunk_bits, n)
+    merged = [sum(per_level) for per_level in zip(*map(kernel, chunks))]
+    whole = kernel(load_packed(packed_path, n))
+    assert all(np.array_equal(a, b) for a, b in zip(merged, whole))
+
+
+def _count_peak_bytes(nbits: int, count) -> int:
     rng = np.random.default_rng(5)
     seq = BitSequence(rng.integers(0, 256, nbits // 8, dtype=np.uint8).tobytes(), nbits)
     tracemalloc.start()
     try:
-        count_blocks(seq, 3)
+        count(seq)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
 
 
 def test_count_blocks_memory_is_flat_in_n():
-    small, large = _count_peak_bytes(1 << 24), _count_peak_bytes(1 << 26)
+    def count(seq):
+        return count_blocks(seq, 3)
+
+    small, large = (_count_peak_bytes(n, count) for n in (1 << 24, 1 << 26))
     assert large <= 1.25 * small
     assert large < 8 * 2**20  # the packed size of 2^26 bits
+
+
+def test_level_counts_memory_is_flat_in_n():
+    """Levels 1..4 share one walk whose histograms and slab scratch do not grow with n."""
+    small, large = (_count_peak_bytes(n, level_counts) for n in (1 << 24, 1 << 26))
+    assert large <= 1.25 * small
+    assert large < 8 * 2**20  # the packed size of 2^26 bits
+
+
+def test_kernel_holds_one_window_histogram_at_a_time():
+    """Levels 1..5 have blocks crossing every one of the 14 byte boundaries
+    inside a 120-bit period; each window's 2^16-bin histogram is folded before
+    the next is counted, so the walk's scratch stays under 2 MiB (all 14 held
+    at once would take 7 MiB)."""
+
+    def count(seq):
+        data = np.frombuffer(seq.data, dtype=np.uint8)
+        return blockstats._count_packed(data, seq.n, (1, 2, 3, 4, 5))
+
+    assert _count_peak_bytes(1 << 24, count) < 2 * 2**20

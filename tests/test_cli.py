@@ -101,20 +101,20 @@ class TestAnalyze:
             simgen.gen_bernoulli(simgen.GeneratorConfig("bernoulli", n=4096, seed=9)), p
         )
         calls = []
-        orig = blockstats.count_blocks
+        orig = blockstats._count_packed
 
-        def spy(seq, i):
-            calls.append(i)
-            return orig(seq, i)
+        def spy(data, nbits, levels):
+            calls.append(tuple(levels))
+            return orig(data, nbits, levels)
 
-        # replace count_blocks wherever a randcert module binds it
+        # replace the counting kernel wherever a randcert module binds it
         for name, mod in list(sys.modules.items()):
-            if name.split(".")[0] == "randcert" and getattr(mod, "count_blocks", None) is orig:
-                monkeypatch.setattr(mod, "count_blocks", spy)
+            if name.split(".")[0] == "randcert" and getattr(mod, "_count_packed", None) is orig:
+                monkeypatch.setattr(mod, "_count_packed", spy)
         out = tmp_path / "r.json"
         rc = main(["analyze", str(p), "--format", "ascii", "--json", str(out)] + extra)
         assert rc in (EXIT_PASS, EXIT_FAIL)
-        assert calls == [1, 2, 3]  # i_max(4096) = 3
+        assert calls == [(1, 2, 3)]  # one walk for every level; i_max(4096) = 3
 
 
 @pytest.mark.parametrize(
@@ -297,6 +297,14 @@ class TestGenerate:
         argv += ["--afterpulse-prob", "0.5", "--afterpulse-delay", "-5"]
         out = tmp_path / "x"
         assert main(argv + ["--out", str(out)]) == EXIT_ERROR
+        assert not out.exists()
+
+    def test_refused_allocation_is_usage_error(self, tmp_path, capsys):
+        # the detector's first output array would take 7.11 PiB; numpy refuses it at once
+        out = tmp_path / "x.txt"
+        argv = ["generate", "--kind", "detector", "--n", "1000000000000000", "--seed", "1"]
+        assert main(argv + ["--out", str(out), "--out-format", "timetags-text"]) == EXIT_ERROR
+        assert capsys.readouterr().err.startswith("error: Unable to allocate")
         assert not out.exists()
 
     def test_bits_generator_cannot_emit_timetags(self, tmp_path):

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -60,6 +61,19 @@ class TestBernoulli:
         whole = gen_bernoulli(cfg)
         monkeypatch.setattr(simgen, "_CHUNK", 1 << 12)
         assert gen_bernoulli(cfg) == whole
+
+
+@pytest.mark.parametrize("kind", ["bernoulli", "markov"])
+def test_bit_generators_hold_one_copy_of_their_output(monkeypatch, kind):
+    """Packed chunks go to one buffer, not to a list joined at the end."""
+    monkeypatch.setattr(simgen, "_CHUNK", 1 << 16)
+    tracemalloc.start()
+    try:
+        seq = simgen.generate(GeneratorConfig(kind, n=1 << 26, seed=4, stay_prob=0.6))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * len(seq.data)
 
 
 class TestMarkov:
