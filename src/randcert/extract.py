@@ -8,6 +8,7 @@ integer divisor that models coarser timing resolution.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -150,11 +151,40 @@ def load_timetags_binary(path, kind: str, unit: str = "") -> TimeTagSeries:
     return TimeTagSeries(raw.astype(np.int64), unit, kind)
 
 
+_TEXT_SLAB = 1 << 16  # tags formatted at a time; the whole text is never held
+_POW10 = 10 ** np.arange(1, 19, dtype=np.int64)  # 10 .. 10**18
+
+
+@functools.cache
+def _digit_groups() -> np.ndarray:
+    """The ASCII of "0000" .. "9999", one uint32 per 4-digit group. Built on
+    first use, so importing the module stays cheap."""
+    d = np.arange(10_000)
+    digits = np.stack([d // 1000, d // 100 % 10, d // 10 % 10, d % 10], axis=1)
+    return (digits + ord("0")).astype(np.uint8).view(np.uint32).ravel()
+
+
 def write_timetags_text(series: TimeTagSeries, path) -> None:
-    slab = 1 << 16  # joining all tags at once would hold their whole text
-    with open(path, "w") as fh:
-        for a in range(0, len(series), slab):
-            fh.write("".join(f"{v}\n" for v in series.values[a : a + slab].tolist()))
+    """One decimal value per line, as f"{v}\\n" writes it, formatted in numpy:
+    each slab fills a (tags, groups + 1) uint32 matrix with 4-digit groups
+    (the last column holds the newline), and a mask keeps each row's digits
+    from its first significant one through the newline."""
+    groups = _digit_groups()
+    with open(path, "wb") as fh:
+        for a in range(0, len(series), _TEXT_SLAB):
+            v = series.values[a : a + _TEXT_SLAB]
+            width = np.searchsorted(_POW10, v, side="right") + 1  # digits of each value
+            g = -(-int(width.max()) // 4)
+            text = np.empty((v.size, g + 1), dtype=np.uint32)
+            chars = text.view(np.uint8)
+            chars[:, 4 * g] = ord("\n")
+            for k in range(g - 1, -1, -1):
+                v, r = np.divmod(v, 10_000)
+                text[:, k] = groups[r]
+            # row w of keep_by_width keeps w digits and the newline
+            col = np.arange(4 * g + 4)
+            keep_by_width = (col >= 4 * g - np.arange(4 * g + 1)[:, None]) & (col <= 4 * g)
+            fh.write(chars[keep_by_width[width]])
 
 
 def write_timetags_binary(series: TimeTagSeries, path) -> None:

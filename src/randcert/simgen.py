@@ -26,7 +26,8 @@ DETECTOR = "detector"
 # one buffer concatenate cleanly, and getvalue() hands that buffer over
 # without a copy.
 _CHUNK = 1 << 22
-_BATCH = 1 << 16  # uniforms per refill of the detector streams
+_BATCH = 1 << 16  # uniforms per refill of the detector streams; fixes the output bytes
+_PIECE = 1 << 12  # arrivals listed as Python floats at a time
 
 
 @dataclass(frozen=True)
@@ -50,12 +51,14 @@ class GeneratorConfig:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {v}")
-        if self.dead_time < 0:
-            raise ValueError("dead_time must be non-negative")
-        if self.afterpulse_delay < 0:
-            raise ValueError("afterpulse_delay must be non-negative")
-        if self.kind == DETECTOR and not self.mean_interarrival > 0:
-            raise ValueError("mean_interarrival must be positive")
+        # an infinite dead time would drop every later arrival and never return
+        for name in ("dead_time", "afterpulse_delay"):
+            v = getattr(self, name)
+            if not (math.isfinite(v) and v >= 0):
+                raise ValueError(f"{name} must be finite and non-negative, got {v}")
+        mean = self.mean_interarrival
+        if self.kind == DETECTOR and not (math.isfinite(mean) and mean > 0):
+            raise ValueError(f"mean_interarrival must be finite and positive, got {mean}")
 
 
 def _raw_uniforms(bg, count: int) -> np.ndarray:
@@ -100,24 +103,13 @@ def gen_markov(cfg: GeneratorConfig) -> BitSequence:
     return BitSequence(out.getvalue(), cfg.n)
 
 
-def _uniforms(seed: int):
-    """The Philox uniform stream of the seed, one float at a time."""
-    bg = np.random.Philox(key=seed)
-    while True:
-        yield from _raw_uniforms(bg, _BATCH).tolist()
-
-
-def _arrivals(seed: int, mean: float):
-    """Poisson arrivals as (time, detector) pairs in time order. Each refill
-    draws 2 * _BATCH uniforms: interarrivals from the first half, detector
-    coins from the second."""
-    bg = np.random.Philox(key=seed)
-    t = 0.0
-    while True:
-        u = _raw_uniforms(bg, 2 * _BATCH)
-        times = t + np.cumsum(-mean * np.log1p(-u[:_BATCH]))
-        t = float(times[-1])  # the clock continues across refills
-        yield from zip(times.tolist(), (u[_BATCH:] < 0.5).astype(np.uint8).tolist())
+def _copy_out(listed_t, listed_d, times, bits, end) -> None:
+    """Move the listed events, the last of which has index end - 1, into
+    the output arrays."""
+    times[end - len(listed_t) : end] = listed_t
+    bits[end - len(listed_d) : end] = listed_d
+    listed_t.clear()
+    listed_d.clear()
 
 
 def gen_detector(cfg: GeneratorConfig) -> tuple[TimeTagSeries, BitSequence]:
@@ -127,43 +119,78 @@ def gen_detector(cfg: GeneratorConfig) -> tuple[TimeTagSeries, BitSequence]:
     one of two detectors by a fair coin. An arrival within dead_time of the
     previous recorded event on the same detector is dropped. After every
     recorded event, with probability afterpulse_prob a spurious event is
-    injected on the same detector after afterpulse_delay (the coin comes
-    from a second Philox stream keyed seed + 2**64, so the arrival stream
-    is unaffected, and is drawn only when afterpulse_prob > 0). One loop
-    merges the arrivals with a queue of pending after-pulses, which stays
-    empty without after-pulsing. Returns the merged recorded time tags
-    (rounded to integer units) and the detector-identity bits, both of
-    length n.
+    injected on the same detector after afterpulse_delay. Returns the merged
+    recorded time tags (rounded to integer units) and the detector-identity
+    bits, both of length n.
+
+    Each arrival refill draws 2 * _BATCH Philox uniforms: interarrivals from
+    the first half, detector coins from the second; the clock carries over
+    between refills. The coin of recorded event k is uniform k of a second
+    Philox stream keyed seed + 2**64, so the arrival stream is unaffected.
+    Those coins are drawn _BATCH at a time, as the count of recorded events
+    reaches them, and only when afterpulse_prob > 0; each refill becomes
+    the ranks of the events that inject an after-pulse. One loop walks the
+    arrivals as Python floats, _PIECE at a time, and merges them with a FIFO
+    of pending after-pulses, which pops first on a tie and stays empty
+    without after-pulsing. The recorded events are listed and copied into
+    the output arrays at the end of each piece, or sooner when a run of
+    after-pulses lists more than _PIECE of them.
     """
     if cfg.kind != DETECTOR:
         raise ValueError(f"config kind is {cfg.kind!r}, expected {DETECTOR!r}")
-    arrivals = _arrivals(cfg.seed, cfg.mean_interarrival)
-    coins = _uniforms(cfg.seed + (1 << 64))
-    times = np.empty(cfg.n, dtype=np.float64)
-    bits = np.empty(cfg.n, dtype=np.uint8)
-    recorded = 0
+    n, tau, prob, delay = cfg.n, cfg.dead_time, cfg.afterpulse_prob, cfg.afterpulse_delay
+    times = np.empty(n, dtype=np.float64)
+    bits = np.empty(n, dtype=np.uint8)
+    arrival_bg = np.random.Philox(key=cfg.seed)
+    coin_bg = np.random.Philox(key=cfg.seed + (1 << 64))
+    clock, offset = 0.0, _BATCH  # offset: where the next piece starts in the refill
     last = [-math.inf, -math.inf]
-    tau, prob = cfg.dead_time, cfg.afterpulse_prob
     # (time, detector); recorded times never decrease, so neither do the
     # after-pulse times pushed, and a FIFO pops them in time order
     pending: deque[tuple[float, int]] = deque()
-    t_next, d_next = next(arrivals)
-    while recorded < cfg.n:
-        if pending and pending[0][0] <= t_next:
-            t, det = pending.popleft()
-        else:
-            t, det = t_next, d_next
-            t_next, d_next = next(arrivals)
-        if t - last[det] < tau:
-            continue
-        last[det] = t
-        times[recorded] = t
-        bits[recorded] = det
-        recorded += 1
-        if prob > 0 and next(coins) < prob:
-            pending.append((t + cfg.afterpulse_delay, det))
-    tags = TimeTagSeries(np.rint(times).astype(np.int64), "unit", TIMESTAMPS)
-    return tags, BitSequence(np.packbits(bits).tobytes(), cfg.n)
+    recorded = 0
+    # next_spawn is the rank of the next event that injects an after-pulse,
+    # or coin_end when no drawn coin is left; -1 never matches
+    coin_end, next_spawn = 0, (0 if prob > 0 else -1)
+    listed_t: list[float] = []  # recorded events not yet copied to times / bits
+    listed_d: list[int] = []
+    while recorded < n:
+        if offset >= _BATCH:
+            u = _raw_uniforms(arrival_bg, 2 * _BATCH)
+            arrival_t = clock + np.cumsum(-cfg.mean_interarrival * np.log1p(-u[:_BATCH]))
+            clock = float(arrival_t[-1])
+            arrival_d = (u[_BATCH:] < 0.5).view(np.uint8)
+            offset = 0
+        piece = slice(offset, offset + _PIECE)
+        offset += _PIECE
+        for ta, da in zip(arrival_t[piece].tolist(), arrival_d[piece].tolist()):
+            arrived = False
+            while not arrived and recorded < n:
+                if pending and pending[0][0] <= ta:
+                    t, det = pending.popleft()
+                    if len(listed_t) >= _PIECE:  # a run of after-pulses outgrows the piece
+                        _copy_out(listed_t, listed_d, times, bits, recorded)
+                else:
+                    t, det, arrived = ta, da, True
+                if t - last[det] < tau:
+                    continue
+                last[det] = t
+                listed_t.append(t)
+                listed_d.append(det)
+                if recorded == next_spawn:
+                    if recorded == coin_end:
+                        coins = _raw_uniforms(coin_bg, _BATCH)
+                        spawns = iter((coin_end + np.flatnonzero(coins < prob)).tolist())
+                        coin_end += _BATCH
+                        next_spawn = next(spawns, coin_end)
+                    if recorded == next_spawn:
+                        pending.append((t + delay, det))
+                        next_spawn = next(spawns, coin_end)
+                recorded += 1
+        _copy_out(listed_t, listed_d, times, bits, recorded)
+    np.rint(times, out=times)
+    tags = TimeTagSeries(times.astype(np.int64), "unit", TIMESTAMPS)
+    return tags, BitSequence(np.packbits(bits).tobytes(), n)
 
 
 def generate(cfg: GeneratorConfig):

@@ -299,6 +299,15 @@ class TestGenerate:
         assert main(argv + ["--out", str(out)]) == EXIT_ERROR
         assert not out.exists()
 
+    def test_infinite_dead_time_is_usage_error(self, tmp_path, capsys):
+        # refused by the config; the event loop would never record a second event
+        out = tmp_path / "x.txt"
+        argv = ["generate", "--kind", "detector", "--n", "10", "--seed", "1", "--dead-time", "inf"]
+        assert main(argv + ["--out", str(out), "--out-format", "timetags-text"]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err == "error: dead_time must be finite and non-negative, got inf\n"
+        assert not out.exists()
+
     def test_refused_allocation_is_usage_error(self, tmp_path, capsys):
         # the detector's first output array would take 7.11 PiB; numpy refuses it at once
         out = tmp_path / "x.txt"

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -167,6 +168,57 @@ class TestTimetagIO:
         with pytest.raises(FormatError) as exc:
             load_timetags_text(p, "timestamps")
         assert str(exc.value) == message
+
+
+_EDGE_VALUES = sorted(
+    {0, 9, 10, 10**18 - 1, 10**18, 2**63 - 1}
+    | {10**k + e for k in range(1, 19) for e in (-1, 0, 1)}
+)
+
+
+def _mixed_widths(size: int, seed: int) -> np.ndarray:
+    """int64 values of every decimal width from 1 to 19 digits."""
+    rng = np.random.default_rng(seed)
+    return rng.integers(0, 2**63 - 1, size, dtype=np.int64, endpoint=True) >> rng.integers(
+        0, 63, size
+    )
+
+
+class TestWriteText:
+    @pytest.mark.parametrize(
+        "values",
+        [
+            _EDGE_VALUES,
+            _mixed_widths(1000, 1),
+            _mixed_widths((1 << 16) - 1, 2),
+            _mixed_widths(1 << 16, 3),
+            _mixed_widths((1 << 16) + 1, 4),
+            _mixed_widths(3 << 16, 5),
+        ],
+        ids=["edges", "1000", "slab-1", "slab", "slab+1", "3-slabs"],
+    )
+    def test_bytes_match_format_and_reload(self, tmp_path, values):
+        p = tmp_path / "tags.txt"
+        write_timetags_text(series(values), p)
+        assert p.read_bytes() == "".join(f"{v}\n" for v in values).encode()
+        assert load_timetags_text(p, "interarrivals").values.tolist() == list(values)
+
+    def test_empty_series_writes_empty_file(self, tmp_path):
+        p = tmp_path / "tags.txt"
+        write_timetags_text(series([]), p)
+        assert p.read_bytes() == b""
+
+    def test_holds_a_few_slabs(self, tmp_path):
+        # 2^20 ten-digit timestamps are 11 MiB of text; one 2^16-tag slab is 0.7 MiB
+        values = np.arange(1 << 20, dtype=np.int64) * 1000 + 10**9
+        s = series(values, "timestamps")
+        tracemalloc.start()
+        try:
+            write_timetags_text(s, tmp_path / "tags.txt")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 << 20
 
 
 def _digit_runs():

@@ -1,12 +1,19 @@
 import hashlib
+import math
 import tracemalloc
+from collections import deque
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from randcert import simgen
 from randcert.blockstats import count_blocks
+from randcert.bitstream import BitSequence
 from randcert.borel import borel_deviations, borel_test, evaluate_level
+from randcert.extract import TIMESTAMPS, TimeTagSeries
 from randcert.simgen import GeneratorConfig, gen_bernoulli, gen_detector, gen_markov
 
 # pinned at build time from the Philox-based generator (seed 42, n = 2^20)
@@ -31,6 +38,13 @@ class TestConfig:
         with pytest.raises(ValueError, match="afterpulse_delay"):
             GeneratorConfig("detector", n=8, seed=0, afterpulse_prob=0.5, afterpulse_delay=-5.0)
         GeneratorConfig("detector", n=8, seed=0, afterpulse_prob=0.5, afterpulse_delay=0.0)
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("field", ["mean_interarrival", "dead_time", "afterpulse_delay"])
+    def test_rejects_non_finite_detector_parameter(self, field, value):
+        # an infinite dead time used to hang gen_detector; nan switched a defect off
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            GeneratorConfig("detector", n=10, seed=1, afterpulse_prob=0.5, **{field: value})
 
     def test_kind_checked_by_generators(self):
         cfg = GeneratorConfig("bernoulli", n=8, seed=0)
@@ -184,3 +198,162 @@ class TestDetector:
         rep = evaluate_level(count_blocks(bits, 2), bits.n)
         assert not rep.passes
         assert rep.deviations[0b01] > 0 and rep.deviations[0b10] > 0
+
+
+@pytest.mark.parametrize(
+    "defects",
+    [BENCH_DEFECTS, dict(BENCH_DEFECTS, afterpulse_prob=1.0)],
+    ids=["bench", "always-afterpulse"],
+)
+def test_detector_memory_per_event(defects):
+    """The output arrays and their int64 and diff copies take about 26 bytes
+    an event, and the peak reads 28. Listing every event as Python floats
+    until the end reads 54, and drawing all n after-pulse ranks up front
+    reads 57 at afterpulse_prob = 1."""
+    n = 1 << 20
+    tracemalloc.start()
+    try:
+        gen_detector(GeneratorConfig("detector", n=n, seed=7, **defects))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 34 * n
+
+
+@pytest.mark.parametrize("delay", [0.0, 75.0])
+def test_after_pulse_runs_are_copied_out_early(monkeypatch, delay):
+    """At afterpulse_prob = 1 one arrival starts an endless run of after-pulses
+    (with delay 0, all n events come from the first arrival); the events
+    listed at any time stay within two pieces."""
+    sizes = []
+    copy_out = simgen._copy_out
+
+    def spy(listed_t, *args):
+        sizes.append(len(listed_t))
+        copy_out(listed_t, *args)
+
+    monkeypatch.setattr(simgen, "_copy_out", spy)
+    n = 1 << 17
+    gen_detector(GeneratorConfig("detector", n, 3, afterpulse_prob=1.0, afterpulse_delay=delay))
+    assert sum(sizes) == n
+    assert max(sizes) <= 2 * simgen._PIECE
+
+
+def _uniforms(seed: int):
+    """The Philox uniform stream of the seed, one float at a time."""
+    bg = np.random.Philox(key=seed)
+    while True:
+        yield from simgen._raw_uniforms(bg, simgen._BATCH).tolist()
+
+
+def _arrivals(seed: int, mean: float):
+    """Poisson arrivals as (time, detector) pairs in time order. Each refill
+    draws 2 * _BATCH uniforms: interarrivals from the first half, detector
+    coins from the second."""
+    bg = np.random.Philox(key=seed)
+    t = 0.0
+    batch = simgen._BATCH
+    while True:
+        u = simgen._raw_uniforms(bg, 2 * batch)
+        times = t + np.cumsum(-mean * np.log1p(-u[:batch]))
+        t = float(times[-1])  # the clock continues across refills
+        yield from zip(times.tolist(), (u[batch:] < 0.5).astype(np.uint8).tolist())
+
+
+def _reference_detector(cfg: GeneratorConfig) -> tuple[TimeTagSeries, BitSequence]:
+    """gen_detector as it was before its flat loop: one event at a time,
+    pulled from the generators above. The oracle for the flat loop; both
+    read the refill size from simgen._BATCH."""
+    arrivals = _arrivals(cfg.seed, cfg.mean_interarrival)
+    coins = _uniforms(cfg.seed + (1 << 64))
+    times = np.empty(cfg.n, dtype=np.float64)
+    bits = np.empty(cfg.n, dtype=np.uint8)
+    recorded = 0
+    last = [-math.inf, -math.inf]
+    tau, prob = cfg.dead_time, cfg.afterpulse_prob
+    # (time, detector); recorded times never decrease, so neither do the
+    # after-pulse times pushed, and a FIFO pops them in time order
+    pending: deque[tuple[float, int]] = deque()
+    t_next, d_next = next(arrivals)
+    while recorded < cfg.n:
+        if pending and pending[0][0] <= t_next:
+            t, det = pending.popleft()
+        else:
+            t, det = t_next, d_next
+            t_next, d_next = next(arrivals)
+        if t - last[det] < tau:
+            continue
+        last[det] = t
+        times[recorded] = t
+        bits[recorded] = det
+        recorded += 1
+        if prob > 0 and next(coins) < prob:
+            pending.append((t + cfg.afterpulse_delay, det))
+    tags = TimeTagSeries(np.rint(times).astype(np.int64), "unit", TIMESTAMPS)
+    return tags, BitSequence(np.packbits(bits).tobytes(), cfg.n)
+
+
+def _output(tags: TimeTagSeries, bits: BitSequence) -> bytes:
+    return tags.values.tobytes() + bits.data
+
+
+def test_after_pulse_pops_before_a_tied_arrival():
+    # the after-pulse of event 0 lands exactly on arrival 1, on the other detector
+    for seed in range(100):
+        arrivals = _arrivals(seed, 1000.0)
+        (a0, d0), (a1, d1) = next(arrivals), next(arrivals)
+        delay = a1 - a0
+        if a0 + delay == a1 and d0 != d1:
+            break
+    else:
+        pytest.fail("no seed below 100 gives an exact tie")
+    cfg = GeneratorConfig("detector", 3, seed, afterpulse_prob=1.0, afterpulse_delay=delay)
+    tags, bits = gen_detector(cfg)
+    assert [bits[k] for k in range(3)] == [d0, d0, d1]
+    assert _output(tags, bits) == _output(*_reference_detector(cfg))
+
+
+def test_coin_equal_to_afterpulse_prob_injects_nothing():
+    seed = 5
+    coin0 = next(_uniforms(seed + (1 << 64)))
+    cfg = GeneratorConfig("detector", 2, seed, afterpulse_prob=coin0, afterpulse_delay=0.0)
+    tags, bits = gen_detector(cfg)
+    assert tags.values[1] > tags.values[0]  # event 1 is arrival 1, not an after-pulse at time 0
+    assert _output(tags, bits) == _output(*_reference_detector(cfg))
+
+@st.composite
+def detector_configs(draw):
+    mean = 1000.0
+    tau = draw(st.one_of(st.just(0.0), st.floats(0.0, 100.0), st.floats(mean, 3 * mean)))
+    prob = draw(
+        st.one_of(
+            st.just(0.0),
+            st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+            st.just(1.0),
+        )
+    )
+    delay = draw(
+        st.one_of(
+            st.just(0.0), st.floats(0.0, tau), st.just(tau), st.floats(tau, tau + 2 * mean)
+        )
+    )
+    return GeneratorConfig(
+        "detector",
+        n=draw(st.integers(0, 3000)),
+        seed=draw(st.integers(0, 2**64 - 1)),
+        mean_interarrival=mean,
+        dead_time=tau,
+        afterpulse_prob=prob,
+        afterpulse_delay=delay,
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(cfg=detector_configs(), batch=st.sampled_from([1, 3, 16, 64]), piece=st.integers(1, 40))
+def test_flat_loop_matches_generator_loop(cfg, batch, piece):
+    """Small refills and pieces cross every refill, piece and early-copy
+    boundary many times; both sides draw with the same patched refill size."""
+    with mock.patch.object(simgen, "_BATCH", batch), mock.patch.object(simgen, "_PIECE", piece):
+        tags, bits = gen_detector(cfg)
+        ref_tags, ref_bits = _reference_detector(cfg)
+    assert _output(tags, bits) == _output(ref_tags, ref_bits)
