@@ -7,6 +7,7 @@ two sequences are equal iff their (n, storage) pairs are equal.
 
 from __future__ import annotations
 
+import io
 import os
 from dataclasses import dataclass
 from typing import Iterable, Iterator
@@ -88,14 +89,10 @@ def load_ascii(path) -> BitSequence:
 
 
 def load_packed(path, n: int | None = None) -> BitSequence:
-    """Read raw packed bytes, MSB-first. n defaults to 8 * byte length."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if n is None:
-        n = 8 * len(raw)
-    if n > 8 * len(raw):
-        raise ValueError(f"requested n={n} but file holds only {8 * len(raw)} bits")
-    return BitSequence.from_bytes(raw, n)
+    """Read raw packed bytes, MSB-first. n defaults to 8 * byte length. One
+    chunk of stream_packed: one read, and a copy only to zero pad bits."""
+    chunks = list(stream_packed(path, None, n))  # one chunk, none when n = 0
+    return chunks[0] if chunks else BitSequence(b"", 0)
 
 
 def write_ascii(seq: BitSequence, path) -> None:
@@ -138,27 +135,34 @@ def stream_ascii(path, chunk_bits: int) -> Iterator[BitSequence]:
         yield BitSequence(bytes(packed) + np.packbits(loose).tobytes(), tail)
 
 
-def stream_packed(path, chunk_bits: int, n: int | None = None) -> Iterator[BitSequence]:
-    """Yield chunks from a packed file; chunk_bits must be a multiple of 8."""
-    if chunk_bits <= 0 or chunk_bits % 8:
+def stream_packed(path, chunk_bits: int | None, n: int | None = None) -> Iterator[BitSequence]:
+    """Yield chunks of chunk_bits bits (the last may be short) from a packed
+    file; chunk_bits is a multiple of 8, or None for one chunk of every bit.
+    The one place that resolves and checks a packed n."""
+    if chunk_bits is not None and (chunk_bits <= 0 or chunk_bits % 8):
         raise ValueError("chunk_bits must be a positive multiple of 8")
-    size_bits = 8 * os.path.getsize(path)
-    if n is None:
-        n = size_bits
-    if n > size_bits:
-        raise ValueError(f"requested n={n} but file holds only {size_bits} bits")
-    remaining = n
     with open(path, "rb") as fh:
-        while remaining > 0:
-            take = min(chunk_bits, remaining)
-            raw = fh.read((take + 7) // 8)
-            yield BitSequence.from_bytes(raw, take)
-            remaining -= take
+        src = fh if fh.seekable() else io.BytesIO(fh.read())  # a pipe's size shows once drained
+        size_bits = 8 * src.seek(0, os.SEEK_END)
+        src.seek(0)
+        n = size_bits if n is None else n
+        if n < 0:
+            raise ValueError(f"requested n={n} is negative")
+        if n > size_bits:
+            raise ValueError(f"requested n={n} but file holds only {size_bits} bits")
+        while n > 0:  # n counts the bits still to yield
+            take = n if chunk_bits is None else min(chunk_bits, n)
+            yield BitSequence.from_bytes(src.read((take + 7) // 8), take)
+            n -= take
 
 
 def concat(chunks: Iterable[BitSequence]) -> BitSequence:
-    """Join chunks into one sequence; only the last may end inside a byte."""
-    chunks = list(chunks)
-    if any(c.n % 8 for c in chunks[:-1]):
-        raise ValueError("only the last chunk may end inside a byte")
-    return BitSequence(b"".join(c.data for c in chunks), sum(c.n for c in chunks))
+    """Join chunks into one sequence; only the last may end inside a byte.
+    Each chunk is written to one buffer as it arrives, so the bits are held once."""
+    out, n = io.BytesIO(), 0
+    for c in chunks:
+        if n % 8:
+            raise ValueError("only the last chunk may end inside a byte")
+        out.write(c.data)
+        n += c.n
+    return BitSequence(out.getvalue(), n)

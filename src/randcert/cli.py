@@ -21,19 +21,23 @@ EXIT_ERROR = 2
 # Level 5 has B_32 partition models, and even the 2-block cap leaves 2^31 of
 # them, beyond what enumerate_partitions will walk; it stays bound-only.
 POSTERIOR_MAX_LEVEL = 4
+# analyze scores level 4 over its 32,768 models of at most two blocks: a cap of
+# 1 leaves one model, 3 passes the 2^20 models enumerate_partitions will walk.
+ANALYZE_LEVEL4_MAX_BLOCKS = 2
 
 
-def _load_bits(path: str, fmt: str, n: int | None) -> bitstream.BitSequence:
-    if fmt == "ascii":
-        return bitstream.load_ascii(path)
-    return bitstream.load_packed(path, n)
+def _load_bits(args) -> bitstream.BitSequence:
+    if args.format == "packed":
+        return bitstream.load_packed(args.input, args.bits)
+    if args.bits is not None:
+        raise ValueError("--bits applies to packed input only")
+    return bitstream.load_ascii(args.input)
 
 
-def _write_bits(seq: bitstream.BitSequence, path: str, fmt: str) -> None:
-    if fmt == "ascii":
-        bitstream.write_ascii(seq, path)
-    else:
-        bitstream.write_packed(seq, path)
+def _write(obj, path: str, fmt: str) -> None:
+    # looked up when called, so a writer replaced on its module is the one that runs
+    module = extract if fmt.startswith("timetags-") else bitstream
+    getattr(module, "write_" + fmt.replace("-", "_"))(obj, path)
 
 
 def _emit_json(obj, path: str | None) -> None:
@@ -48,7 +52,7 @@ def _emit_json(obj, path: str | None) -> None:
 
 
 def cmd_analyze(args) -> int:
-    seq = _load_bits(args.input, args.format, args.bits)
+    seq = _load_bits(args)
     counts = blockstats.level_counts(seq, args.max_level)
     borel_reports = borel.borel_test(seq, counts=counts)
     bound_reports = bayes.bayes_bound_test(seq, counts=counts)
@@ -61,7 +65,7 @@ def cmd_analyze(args) -> int:
     if args.bayes_posterior:
         posterior_levels = []
         for c in counts[:POSTERIOR_MAX_LEVEL]:
-            cap = args.max_blocks if (1 << c.level) > 8 else None
+            cap = ANALYZE_LEVEL4_MAX_BLOCKS if (1 << c.level) > 8 else None
             models = list(partitions.enumerate_partitions(1 << c.level, cap))
             posterior_levels.append(bayes.posterior(c, models).to_json_dict())
         report["posterior"] = posterior_levels
@@ -112,13 +116,13 @@ def cmd_bounds(args) -> int:
 
 def cmd_extract(args) -> int:
     loader = extract.load_timetags_text if args.format == "text" else extract.load_timetags_binary
-    series = loader(args.input, args.kind, args.unit)
+    series = loader(args.input, args.kind)
     if series.kind == extract.TIMESTAMPS:
         series = extract.interarrivals(series)
     if len(series) == 0:
         raise RandcertError("no time tags in input")
     seq = extract.timetags_to_bits(series, args.divisor)
-    _write_bits(seq, args.out, args.out_format)
+    _write(seq, args.out, args.out_format)
     ones = blockstats.count_blocks(seq, 1).counts[1]
     print(f"extracted n = {seq.n} bits, ones fraction = {ones / seq.n:.6f}")
     return EXIT_PASS
@@ -136,36 +140,28 @@ def cmd_generate(args) -> int:
         afterpulse_prob=args.afterpulse_prob,
         afterpulse_delay=args.afterpulse_delay,
     )
+    timetags = args.out_format.startswith("timetags-")
     if cfg.kind == simgen.DETECTOR:
         tags, seq = simgen.gen_detector(cfg)
-        if args.out_format in ("timetags-text", "timetags-binary"):
-            writer = (
-                extract.write_timetags_text
-                if args.out_format == "timetags-text"
-                else extract.write_timetags_binary
-            )
-            writer(tags, args.out)
-        else:
-            _write_bits(seq, args.out, args.out_format)
+        out = tags if timetags else seq
+    elif timetags:
+        raise ValueError(f"{cfg.kind} generator emits bits, not time tags")
     else:
-        if args.out_format in ("timetags-text", "timetags-binary"):
-            raise ValueError(f"{cfg.kind} generator emits bits, not time tags")
-        seq = simgen.generate(cfg)
-        _write_bits(seq, args.out, args.out_format)
+        out = simgen.generate(cfg)
+    _write(out, args.out, args.out_format)
     print(f"wrote {args.out} ({cfg.kind}, n = {cfg.n}, seed = {cfg.seed})")
     return EXIT_PASS
 
 
 def cmd_posterior(args) -> int:
-    seq = _load_bits(args.input, args.format, args.bits)
+    seq = _load_bits(args)
     i = blockstats.check_levels(seq.n, args.level)
-    cap = args.max_blocks
-    if (1 << i) > 8 and cap is None:
+    if (1 << i) > 8 and args.max_blocks is None:
         raise ValueError(
             f"full enumeration at level {i} has B_{1 << i} models; pass --max-blocks "
             f"(e.g. 2) to restrict the model space"
         )
-    models = list(partitions.enumerate_partitions(1 << i, cap))
+    models = list(partitions.enumerate_partitions(1 << i, args.max_blocks))
     table = bayes.posterior(blockstats.count_blocks(seq, i), models)
     _emit_json(table.to_json_dict(), args.json)
     best = table.models[table.best_index]
@@ -183,13 +179,12 @@ def build_parser() -> argparse.ArgumentParser:
     def add_input(sp):
         sp.add_argument("input", help="input file path")
         sp.add_argument("--format", choices=["ascii", "packed"], required=True)
-        sp.add_argument("--bits", type=int, default=None, help="bit count for packed input")
+        sp.add_argument("--bits", type=int, default=None, help="bit count, packed input only")
 
     sp = sub.add_parser("analyze", help="run Borel and Bayesian-bound tests")
     add_input(sp)
     sp.add_argument("--max-level", type=int, default=None)
     sp.add_argument("--bayes-posterior", action="store_true", help="also compute posteriors")
-    sp.add_argument("--max-blocks", type=int, default=2, help="model cap beyond level 3")
     sp.add_argument("--json", default=None, help="write JSON report here ('-' for stdout)")
     sp.add_argument("--csv", default=None, help="write per-substring CSV here")
     sp.set_defaults(func=cmd_analyze)
@@ -204,7 +199,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("input")
     sp.add_argument("--format", choices=["text", "binary"], required=True)
     sp.add_argument("--kind", choices=["timestamps", "interarrivals"], required=True)
-    sp.add_argument("--unit", default="")
     sp.add_argument("--divisor", type=int, default=1)
     sp.add_argument("--out", required=True)
     sp.add_argument("--out-format", choices=["ascii", "packed"], default="packed")

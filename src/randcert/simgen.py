@@ -189,6 +189,8 @@ def gen_detector(cfg: GeneratorConfig) -> tuple[TimeTagSeries, BitSequence]:
                 recorded += 1
         _copy_out(listed_t, listed_d, times, bits, recorded)
     np.rint(times, out=times)
+    if n and times[-1] >= 2.0**63:  # times never decrease; past 2^63 no int64 holds them
+        raise ValueError(f"n={n} events at mean_interarrival={cfg.mean_interarrival} pass 2^63")
     tags = TimeTagSeries(times.astype(np.int64), "unit", TIMESTAMPS)
     return tags, BitSequence(np.packbits(bits).tobytes(), n)
 

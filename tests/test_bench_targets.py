@@ -11,6 +11,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
 import tracing  # noqa: E402
+from randcert.cli import EXIT_ERROR, main  # noqa: E402
 
 # called by name from tracing.py rather than wrapped through TARGETS
 DIRECT_CALLS = [
@@ -37,3 +38,40 @@ def test_target_resolves(modname, qual):
 def test_direct_call_resolves(modname, name):
     mod = importlib.import_module(f"randcert.{modname}")
     assert callable(getattr(mod, name, None)), f"randcert.{modname}.{name} is gone"
+
+
+# every loader and writer the CLI reaches, with a step that reaches it; the
+# traced run replaces each on its module, so the CLI must look it up there
+# when it calls it, not keep a reference taken at import
+GENERATE = ["generate", "--n", "64", "--seed", "1", "--out", "{o}", "--kind"]
+REACHED = [
+    ("bitstream", "load_packed", ["analyze", "{packed}", "--format", "packed"]),
+    ("bitstream", "load_ascii", ["analyze", "{ascii}", "--format", "ascii"]),
+    ("bitstream", "write_packed", GENERATE + ["markov"]),
+    ("bitstream", "write_ascii", GENERATE + ["markov", "--out-format", "ascii"]),
+    (
+        "extract",
+        "load_timetags_text",
+        ["extract", "{tags}", "--format", "text", "--kind", "timestamps", "--out", "{o}"],
+    ),
+    ("extract", "write_timetags_text", GENERATE + ["detector", "--out-format", "timetags-text"]),
+]
+
+
+@pytest.mark.parametrize("modname, name, argv", REACHED, ids=[f"{m}.{n}" for m, n, _ in REACHED])
+def test_cli_calls_function_replaced_on_its_module(tmp_path, monkeypatch, modname, name, argv):
+    files = {"packed": tmp_path / "b.bin", "ascii": tmp_path / "b.txt", "tags": tmp_path / "t.txt"}
+    files["packed"].write_bytes(bytes(range(64)))
+    files["ascii"].write_text("0110" * 64 + "\n")
+    files["tags"].write_text("100\n250\n400\n")
+    argv = [a.format(o=tmp_path / "out", **files) for a in argv]
+    mod = importlib.import_module(f"randcert.{modname}")
+    orig, calls = getattr(mod, name), []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(mod, name, spy)
+    assert main(argv) != EXIT_ERROR
+    assert len(calls) == 1, f"{argv[0]} did not call the replaced randcert.{modname}.{name}"

@@ -1,4 +1,5 @@
 import hashlib
+import os
 import tracemalloc
 
 import numpy as np
@@ -52,6 +53,25 @@ class TestLoadAscii:
         with pytest.raises(OSError):
             bitstream.load_ascii(tmp_path / "missing.txt")
 
+    def test_holds_one_packed_copy(self, tmp_path):
+        """The chunks go into one buffer as they arrive, not into a list joined
+        at the end: the peak grows by about one byte per added packed byte."""
+        peaks = []
+        for n in (1 << 25, 1 << 26):
+            p = tmp_path / f"{n}.txt"
+            bitstream.write_ascii(BitSequence(b"\x5a" * (n // 8), n), p)
+            tracemalloc.start()
+            try:
+                seq = bitstream.load_ascii(p)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert seq.n == n
+            del seq
+            p.unlink()
+        growth = (peaks[1] - peaks[0]) / ((1 << 26) // 8 - (1 << 25) // 8)
+        assert growth < 1.25, f"peak grew {growth:.2f} bytes per added packed byte"
+
 
 class TestLoadPacked:
     def test_msb_first(self, tmp_bits_file):
@@ -79,6 +99,16 @@ class TestLoadPacked:
         p = tmp_bits_file("p.bin", bytes([0xAB, 0xCD, 0xEF]), binary=True)
         assert bitstream.load_packed(p, 16).data == bytes([0xAB, 0xCD])
         assert bitstream.load_packed(p, 12).data == bytes([0xAB, 0xC0])
+
+    def test_pipe_is_read_whole(self):
+        # a pipe has no size until it is drained; /dev/fd names its read end
+        r, w = os.pipe()
+        try:
+            os.write(w, b"\xab\xcd\xef")
+            os.close(w)
+            assert bitstream.load_packed(f"/dev/fd/{r}", 20) == BitSequence(b"\xab\xcd\xe0", 20)
+        finally:
+            os.close(r)
 
     def test_whole_file_read_once(self, tmp_bits_file):
         size = 4 << 20
@@ -140,6 +170,20 @@ def test_packed_roundtrip(tmp_path_factory, bits):
     assert bitstream.load_packed(p, seq.n) == seq
 
 
+@given(data=st.binary(max_size=40), pick=st.none() | st.integers(0, 320))
+def test_load_packed_matches_from_bytes(tmp_path_factory, data, pick):
+    """Any n in 0..8 * size, or none, loads as the file's bytes cut to n bits;
+    beyond 8 * size, or below 0, is refused."""
+    p = tmp_path_factory.mktemp("lp") / "seq.bin"
+    p.write_bytes(data)
+    n = None if pick is None else pick % (8 * len(data) + 1)
+    expected = BitSequence.from_bytes(data, 8 * len(data) if n is None else n)
+    assert bitstream.load_packed(p, n) == expected
+    for bad in (8 * len(data) + 1 + (pick or 0), -1 - (pick or 0)):
+        with pytest.raises(ValueError, match=f"requested n={bad} "):
+            bitstream.load_packed(p, bad)
+
+
 @given(bits=st.lists(st.integers(0, 1), max_size=200))
 @settings(max_examples=50)
 def test_ascii_roundtrip(tmp_path_factory, bits):
@@ -188,6 +232,12 @@ def test_stream_packed_rejects_unaligned_chunk(tmp_bits_file):
     p = tmp_bits_file("s.bin", b"\x00", binary=True)
     with pytest.raises(ValueError):
         list(bitstream.stream_packed(p, 12))
+
+
+def test_stream_packed_refuses_negative_n(tmp_bits_file):
+    p = tmp_bits_file("s.bin", b"\xab", binary=True)
+    with pytest.raises(ValueError, match="requested n=-5 is negative"):
+        list(bitstream.stream_packed(p, 8, -5))
 
 
 def test_stream_ascii_rejects_unaligned_chunk(tmp_bits_file):

@@ -1,7 +1,9 @@
+import hashlib
 import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -333,6 +335,128 @@ class TestGenerate:
             ]
         )
         assert rc == EXIT_ERROR
+
+
+    def test_detector_times_past_int64_are_usage_error(self, tmp_path, capsys):
+        # at this mean the first time is already past 2^63; no cast warning may show
+        out = tmp_path / "x.txt"
+        argv = ["generate", "--kind", "detector", "--n", "10", "--seed", "1", "--mean", "1e300"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv + ["--out", str(out)]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err == "error: n=10 events at mean_interarrival=1e+300 pass 2^63\n"
+        assert not out.exists()
+
+
+# small outputs of every generator and format, after-pulsing on; the digests
+# pin the bytes each --out-format has written since before the writers were
+# picked by one function
+GENERATOR_ARGS = {
+    "bernoulli": ["--theta", "0.4"],
+    "markov": ["--stay-prob", "0.6"],
+    "detector": ["--dead-time", "50", "--afterpulse-prob", "0.2", "--afterpulse-delay", "75"],
+}
+
+
+def _generate(tmp_path, kind, fmt):
+    out = tmp_path / f"{kind}.{fmt}"
+    argv = ["generate", "--kind", kind, "--n", "1001", "--seed", "5", *GENERATOR_ARGS[kind]]
+    return main(argv + ["--out-format", fmt, "--out", str(out)]), out
+
+
+@pytest.mark.parametrize(
+    "kind, fmt, digest",
+    [
+        ("bernoulli", "ascii", "67e9811c271e7608e2a77e5235578947fb43c53a888707788df7cadaab94caf7"),
+        ("bernoulli", "packed", "c3c005c0fda34355e13670e66fb9a849040d6d888d6ecae420c184a2c94e4952"),
+        ("bernoulli", "timetags-text", None),
+        ("bernoulli", "timetags-binary", None),
+        ("markov", "ascii", "1d06388555aec925260e3316fd2a83aa4c9f1442b67fb497051dde36a0f3480c"),
+        ("markov", "packed", "5d2d04111daf42e77e9c6116a00e62474a68df3525b54a5a8348833ae288729e"),
+        ("markov", "timetags-text", None),
+        ("markov", "timetags-binary", None),
+        ("detector", "ascii", "60ee6f46c2342ad1bca37259504f5c4c5d34485f9149fb94bf02202752839ae4"),
+        ("detector", "packed", "1e84014738968f7dcf4a8c3f1b80733c11f61b6e9c24cb52268b27b12498c2ee"),
+        (
+            "detector",
+            "timetags-text",
+            "be65a23f5475e79fa33fd76615a159e27cc3b4a41aaf0cffe3c75c8ced16a006",
+        ),
+        (
+            "detector",
+            "timetags-binary",
+            "c34b2f5c113a405fc7665d4552a2a40f13867aec120bc9477366add6d9c6ced4",
+        ),
+    ],
+)
+def test_generate_output_pinned(tmp_path, capsys, kind, fmt, digest):
+    rc, out = _generate(tmp_path, kind, fmt)
+    if digest is None:  # a bits generator refuses to write time tags
+        assert rc == EXIT_ERROR
+        assert capsys.readouterr().err == f"error: {kind} generator emits bits, not time tags\n"
+        assert not out.exists()
+    else:
+        assert rc == EXIT_PASS
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("src_fmt", ["text", "binary"])
+@pytest.mark.parametrize(
+    "fmt, digest",
+    [
+        ("ascii", "20486cd211965411429cbb455a54bd4867026c3a8c3629133b4f713027e8146e"),
+        ("packed", "feb4c096244529f4ddc7990a35b5b4163fc8622b76753295a1266cc3a13c452f"),
+    ],
+)
+def test_extract_output_pinned(tmp_path, capsys, src_fmt, fmt, digest):
+    rc, tags = _generate(tmp_path, "detector", f"timetags-{src_fmt}")
+    assert rc == EXIT_PASS
+    out = tmp_path / "bits"
+    argv = ["extract", str(tags), "--format", src_fmt, "--kind", "timestamps", "--divisor", "3"]
+    assert main(argv + ["--out-format", fmt, "--out", str(out)]) == EXIT_PASS
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+    assert capsys.readouterr().out.endswith("extracted n = 1000 bits, ones fraction = 0.618000\n")
+
+
+class TestInputContract:
+    @pytest.mark.parametrize("command", [["analyze"], ["posterior", "--level", "1"]])
+    def test_bits_with_ascii_input_is_usage_error(self, tmp_path, capsys, command):
+        # an ASCII file states its own length
+        p = tmp_path / "four.txt"
+        p.write_text("1011\n")
+        argv = [command[0], str(p), "--format", "ascii", "--bits", "3", *command[1:]]
+        assert main(argv) == EXIT_ERROR
+        assert capsys.readouterr().err == "error: --bits applies to packed input only\n"
+
+    @pytest.mark.parametrize("command", [["analyze"], ["posterior", "--level", "1"]])
+    @pytest.mark.parametrize("data", [b"", b"\xab\xcd"], ids=["empty", "two-bytes"])
+    def test_negative_bits_is_usage_error(self, tmp_path, capsys, command, data):
+        p = tmp_path / "p.bin"
+        p.write_bytes(data)
+        argv = [command[0], str(p), "--format", "packed", "--bits", "-5", *command[1:]]
+        assert main(argv) == EXIT_ERROR
+        assert capsys.readouterr().err == "error: requested n=-5 is negative\n"
+
+    @pytest.mark.parametrize(
+        "argv, option",
+        [
+            (
+                ["extract", "{t}", "--format", "text", "--kind", "timestamps", "--out", "{o}"],
+                "--unit",
+            ),
+            (["analyze", "{f}", "--format", "packed", "--json", "{o}"], "--max-blocks"),
+        ],
+    )
+    def test_removed_options_are_unknown(self, unbiased_file, tmp_path, capsys, argv, option):
+        tags, out = tmp_path / "tags.txt", tmp_path / "o"
+        tags.write_text("100\n250\n400\n")
+        argv = [a.format(f=unbiased_file, t=tags, o=out) for a in argv]
+        assert main(argv) == EXIT_PASS
+        out.unlink()
+        assert main(argv + [option, "2"]) == EXIT_ERROR
+        assert capsys.readouterr().err.endswith(f"unrecognized arguments: {option} 2\n")
+        assert not out.exists()
 
 
 class TestPosterior:
