@@ -14,6 +14,7 @@ from .blockstats import (
     level_counts,
     max_borel_level,
     merge_counts,
+    stream_level_counts,
 )
 from .borel import BorelLevelReport, borel_bound, borel_deviations, borel_test
 from .bayes import (
@@ -56,6 +57,7 @@ __all__ = [
     "count_blocks_parallel",
     "level_counts",
     "merge_counts",
+    "stream_level_counts",
     "max_borel_level",
     "borel_bound",
     "borel_deviations",

@@ -142,16 +142,21 @@ def bayes_bound_lhs(counts: BlockCounts) -> float:
 
 
 def bayes_bound_test(
-    seq: BitSequence, levels: int | None = None, *, counts: list[BlockCounts] | None = None
+    seq: BitSequence | int,
+    levels: int | None = None,
+    *,
+    counts: list[BlockCounts] | None = None,
 ) -> list[BayesBoundReport]:
     """Coupled frequency bound at levels 1..levels (default i_max).
-    counts, a level_counts(seq, levels) result, saves counting again."""
+    counts, a level_counts(seq, levels) result, saves counting again; with
+    counts, seq may be just the bit count n."""
     if counts is None:
         counts = level_counts(seq, levels)
+    n = seq if isinstance(seq, int) else seq.n
     reports = []
     for c in counts:
         lhs = bayes_bound_lhs(c)
-        rhs = bayes_bound_rhs(seq.n, c.level)
+        rhs = bayes_bound_rhs(n, c.level)
         reports.append(BayesBoundReport(c.level, lhs, rhs, lhs < rhs))
     return reports
 

@@ -111,11 +111,12 @@ def write_packed(seq: BitSequence, path) -> None:
         fh.write(seq.data)
 
 
-def stream_ascii(path, chunk_bits: int) -> Iterator[BitSequence]:
+def stream_ascii(path, chunk_bits: int | None) -> Iterator[BitSequence]:
     """Yield chunks of exactly chunk_bits bits (the last may be short) from a
-    '0'/'1' text file. chunk_bits must be a multiple of 8, and of the block
-    length when per-chunk block counts are to be merged."""
-    if chunk_bits <= 0 or chunk_bits % 8:
+    '0'/'1' text file, or None for one chunk of every bit. chunk_bits must be
+    a multiple of 8, and of the block length when per-chunk block counts are
+    to be merged."""
+    if chunk_bits is not None and (chunk_bits <= 0 or chunk_bits % 8):
         raise ValueError("chunk_bits must be a positive multiple of 8")
     packed = bytearray()
     loose = np.empty(0, dtype=np.uint8)  # the fewer than 8 bits not yet packed
@@ -127,8 +128,8 @@ def stream_ascii(path, chunk_bits: int) -> Iterator[BitSequence]:
             whole = bits.size - bits.size % 8
             packed += np.packbits(bits[:whole]).tobytes()
             loose = bits[whole:]
-            while 8 * len(packed) >= chunk_bits:
-                yield BitSequence(bytes(packed[: chunk_bits // 8]), chunk_bits)
+            while chunk_bits is not None and 8 * len(packed) >= chunk_bits:
+                yield BitSequence(bytes(memoryview(packed)[: chunk_bits // 8]), chunk_bits)
                 del packed[: chunk_bits // 8]
     tail = 8 * len(packed) + loose.size
     if tail:

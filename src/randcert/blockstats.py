@@ -15,19 +15,23 @@ a byte and the next, so the walk only histograms those windows and the
 bytes no window covers, and folds each block's counts out of them. Levels
 10 and up, reachable only through count_blocks, gather each block from the
 bytes it touches. The blocks after the last whole period are counted on
-their own.
+their own. stream_level_counts runs the walk over a file one chunk of
+whole periods at a time and sums the chunks' counts, so it never holds the
+file.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import stat
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
 
+from . import bitstream
 from .bitstream import BitSequence
 
 # Dense 2^i counter vectors become impractical past this level.
@@ -36,6 +40,11 @@ MAX_LEVEL = 24
 # Periods (or gathered blocks) fed to one bincount, which copies them to
 # intp: 1 MiB of working memory.
 _SLAB = 1 << 17
+
+# Bits per chunk of stream_level_counts, 1.875 MiB: whole slabs of whole
+# periods for levels 1..4 (24 bits), 1..5 and 1..6 (120 bits), so a chunked
+# count walks as many slabs as one call over the whole file.
+_CHUNK_BITS = 120 * _SLAB
 
 # The longest block that always lies in one byte or in a 16-bit window of a
 # byte and the next (7 bits of skip + 9); longer blocks are gathered.
@@ -132,7 +141,8 @@ def _fold_windows(periods: np.ndarray, levels: tuple[int, ...]) -> list[np.ndarr
     (256 bins), and folds each window's histogram into its crossing blocks'
     counts and its two bytes' histograms before the next window is counted,
     so only one window histogram is held at a time. The blocks inside one
-    byte are folded from the bytes' histograms at the end.
+    byte are folded at the end, once per (level, skip), from the summed
+    histograms of the bytes that hold such a block.
     """
     pbytes = periods.shape[1]
     # (level, byte, skip) of every block in one period
@@ -156,9 +166,12 @@ def _fold_windows(periods: np.ndarray, levels: tuple[int, ...]) -> list[np.ndarr
                 del hist  # freed before the next window's bincount
             elif p - 1 not in windows:
                 byte_hists[p] += np.bincount(slab[:, p], minlength=256)
+    inside = {}  # (level, skip) -> bytes holding such a block whole
     for i, b, s in blocks:
         if s + i <= 8:
-            counts[i] += _fold(byte_hists[b], 8, s, i)
+            inside.setdefault((i, s), []).append(b)
+    for (i, s), bs in inside.items():
+        counts[i] += _fold(byte_hists[bs].sum(axis=0), 8, s, i)
     return [counts[i] for i in levels]
 
 
@@ -229,6 +242,57 @@ def level_counts(seq: BitSequence, levels: int | None = None) -> list[BlockCount
     top = range(1, check_levels(seq.n, levels) + 1)
     counts = _count_packed(np.frombuffer(seq.data, dtype=np.uint8), seq.n, tuple(top))
     return [BlockCounts(i, c, seq.n // i) for i, c in zip(top, counts)]
+
+
+def _top_level(bound: int, levels: int | None) -> int:
+    """The highest level worth counting on at most bound bits (0 for none);
+    check_levels on the n found decides which of them are reported."""
+    imax = max_borel_level(bound) if bound >= 4 else 0
+    return imax if levels is None else max(0, min(levels, imax))
+
+
+def stream_level_counts(
+    path, fmt: str, n: int | None = None, levels: int | None = None
+) -> tuple[int, list[BlockCounts]]:
+    """n and the block counts at levels 1..check_levels(n, levels) of a
+    "packed" or "ascii" bit file, one chunk at a time, so the file is never
+    held whole. n is the packed bit count to read (default: every bit).
+
+    The levels are fixed before the first chunk, from an upper bound on n:
+    the requested n, or 8 bits a byte of a packed file, or 1 bit a byte of
+    an ASCII file; levels above i_max of the n read are dropped at the end.
+    Each chunk is _CHUNK_BITS rounded down to whole periods of
+    lcm(8, 1..top) bits, so no block spans two chunks and the chunks'
+    counts sum to the whole file's. A pipe has no size until it is drained,
+    so it is read as one chunk whose n fixes the levels.
+    """
+    if fmt != "packed" and n is not None:
+        raise ValueError("n applies to packed input only")
+    bound = n
+    if n is None:
+        info = os.stat(path)
+        if stat.S_ISREG(info.st_mode):  # a pipe has no size until it is drained
+            bound = 8 * info.st_size if fmt == "packed" else info.st_size
+    top = chunk_bits = None
+    if bound is not None:
+        top = _top_level(bound, levels)
+        period = math.lcm(8, *range(1, top + 1))
+        chunk_bits = period * max(1, _CHUNK_BITS // period)
+    if fmt == "packed":
+        chunks = bitstream.stream_packed(path, chunk_bits, n)
+    else:
+        chunks = bitstream.stream_ascii(path, chunk_bits)
+    total, sums = 0, []
+    for chunk in chunks:
+        if top is None:  # the one chunk of a pipe
+            top = _top_level(chunk.n, levels)
+        data = np.frombuffer(chunk.data, dtype=np.uint8)
+        counts = _count_packed(data, chunk.n, tuple(range(1, top + 1)))
+        sums = counts if not total else [a + b for a, b in zip(sums, counts)]
+        total += chunk.n
+        del chunk, data  # freed before the next chunk is read
+    top = check_levels(total, levels)
+    return total, [BlockCounts(i, sums[i - 1], total // i) for i in range(1, top + 1)]
 
 
 def merge_counts(a: BlockCounts, b: BlockCounts) -> BlockCounts:

@@ -66,13 +66,18 @@ def evaluate_level(counts: BlockCounts, n: int) -> BorelLevelReport:
 
 
 def borel_test(
-    seq: BitSequence, levels: int | None = None, *, counts: list[BlockCounts] | None = None
+    seq: BitSequence | int,
+    levels: int | None = None,
+    *,
+    counts: list[BlockCounts] | None = None,
 ) -> list[BorelLevelReport]:
     """Run the test at levels 1..levels (default i_max); one report per level.
-    counts, a level_counts(seq, levels) result, saves counting again."""
+    counts, a level_counts(seq, levels) result, saves counting again; with
+    counts, seq may be just the bit count n."""
     if counts is None:
         counts = level_counts(seq, levels)
-    return [evaluate_level(c, seq.n) for c in counts]
+    n = seq if isinstance(seq, int) else seq.n
+    return [evaluate_level(c, n) for c in counts]
 
 
 def overall_verdict(reports: list[BorelLevelReport]) -> bool:

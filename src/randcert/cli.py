@@ -26,12 +26,12 @@ POSTERIOR_MAX_LEVEL = 4
 ANALYZE_LEVEL4_MAX_BLOCKS = 2
 
 
-def _load_bits(args) -> bitstream.BitSequence:
-    if args.format == "packed":
-        return bitstream.load_packed(args.input, args.bits)
-    if args.bits is not None:
-        raise ValueError("--bits applies to packed input only")
-    return bitstream.load_ascii(args.input)
+def _count_input(args, levels: int | None):
+    """n and block counts at levels 1..check_levels(n, levels) of the input,
+    from the one streamed pass that analyze and posterior share."""
+    if args.format == "ascii" and args.bits is not None:
+        raise ValueError("--bits applies to packed input only")  # the file states its length
+    return blockstats.stream_level_counts(args.input, args.format, args.bits, levels)
 
 
 def _write(obj, path: str, fmt: str) -> None:
@@ -52,15 +52,14 @@ def _emit_json(obj, path: str | None) -> None:
 
 
 def cmd_analyze(args) -> int:
-    seq = _load_bits(args)
-    counts = blockstats.level_counts(seq, args.max_level)
-    borel_reports = borel.borel_test(seq, counts=counts)
-    bound_reports = bayes.bayes_bound_test(seq, counts=counts)
+    n, counts = _count_input(args, args.max_level)
+    borel_reports = borel.borel_test(n, counts=counts)
+    bound_reports = bayes.bayes_bound_test(n, counts=counts)
 
     report = {
-        "input": {"path": args.input, "format": args.format, "n": seq.n},
-        "borel": borel.reports_to_json_dict(seq.n, borel_reports),
-        "bayes_bound": bayes.bound_reports_to_json_dict(seq.n, bound_reports),
+        "input": {"path": args.input, "format": args.format, "n": n},
+        "borel": borel.reports_to_json_dict(n, borel_reports),
+        "bayes_bound": bayes.bound_reports_to_json_dict(n, bound_reports),
     }
     if args.bayes_posterior:
         posterior_levels = []
@@ -81,7 +80,7 @@ def cmd_analyze(args) -> int:
             for level, bits, dev, bound in borel.reports_to_csv_rows(borel_reports):
                 w.writerow([level, bits, repr(dev), repr(bound), repr(rhs_by_level[level])])
 
-    print(f"n = {seq.n}, levels 1..{len(counts)} (i_max = {blockstats.max_borel_level(seq.n)})")
+    print(f"n = {n}, levels 1..{len(counts)} (i_max = {blockstats.max_borel_level(n)})")
     for r in borel_reports:
         print(
             f"  borel level {r.level}: max |dev| = {r.max_abs_deviation:.6g} "
@@ -154,15 +153,16 @@ def cmd_generate(args) -> int:
 
 
 def cmd_posterior(args) -> int:
-    seq = _load_bits(args)
-    i = blockstats.check_levels(seq.n, args.level)
+    _, per_level = _count_input(args, args.level)
+    counts = per_level[-1]  # levels 1..i share one walk; level i is scored
+    i = counts.level
     if (1 << i) > 8 and args.max_blocks is None:
         raise ValueError(
             f"full enumeration at level {i} has B_{1 << i} models; pass --max-blocks "
             f"(e.g. 2) to restrict the model space"
         )
     models = list(partitions.enumerate_partitions(1 << i, args.max_blocks))
-    table = bayes.posterior(blockstats.count_blocks(seq, i), models)
+    table = bayes.posterior(counts, models)
     _emit_json(table.to_json_dict(), args.json)
     best = table.models[table.best_index]
     print(f"level {i}: {len(models)} models")

@@ -47,6 +47,9 @@ class GeneratorConfig:
             raise ValueError(f"unknown generator kind {self.kind!r}")
         if self.n < 0:
             raise ValueError("output length must be non-negative")
+        # Philox keys are below 2^128, and the detector's coins take seed + 2^64
+        if not 0 <= self.seed < (1 << 128) - (1 << 64):
+            raise ValueError(f"seed must be in [0, 2^128 - 2^64), got {self.seed}")
         for name in ("theta", "stay_prob", "afterpulse_prob"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:

@@ -45,8 +45,8 @@ def test_direct_call_resolves(modname, name):
 # when it calls it, not keep a reference taken at import
 GENERATE = ["generate", "--n", "64", "--seed", "1", "--out", "{o}", "--kind"]
 REACHED = [
-    ("bitstream", "load_packed", ["analyze", "{packed}", "--format", "packed"]),
-    ("bitstream", "load_ascii", ["analyze", "{ascii}", "--format", "ascii"]),
+    ("bitstream", "stream_packed", ["analyze", "{packed}", "--format", "packed"]),
+    ("bitstream", "stream_ascii", ["analyze", "{ascii}", "--format", "ascii"]),
     ("bitstream", "write_packed", GENERATE + ["markov"]),
     ("bitstream", "write_ascii", GENERATE + ["markov", "--out-format", "ascii"]),
     (

@@ -1,4 +1,5 @@
 import math
+import os
 import tracemalloc
 from collections import Counter
 from functools import reduce
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from randcert import blockstats
-from randcert.bitstream import BitSequence, load_packed, stream_packed
+from randcert.bitstream import BitSequence, load_ascii, load_packed, stream_packed
 from randcert.bayes import bayes_bound_test
 from randcert.blockstats import (
     BlockCounts,
@@ -20,6 +21,7 @@ from randcert.blockstats import (
     level_counts,
     max_borel_level,
     merge_counts,
+    stream_level_counts,
     zero_counts,
 )
 from randcert.borel import borel_test
@@ -303,6 +305,76 @@ def test_streamed_kernel_counts_merge_to_whole_file(packed_path, periods, data):
     assert all(np.array_equal(a, b) for a, b in zip(merged, whole))
 
 
+@st.composite
+def bit_files(draw):
+    """A bit file and the n a packed read asks for: n anywhere up to a few
+    chunks or next to a level threshold 2^(2^i), as raw bytes with random
+    pad bits and spare bytes, or as ASCII with random whitespace."""
+    n = draw(st.one_of(st.integers(0, 720), st.sampled_from([15, 16, 255, 256, 65_535, 65_536])))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        spare = draw(st.integers(0, 2))
+        data = rng.integers(0, 256, (n + 7) // 8 + spare, dtype=np.uint8).tobytes()
+        whole = not spare and n % 8 == 0
+        return "packed", data, draw(st.sampled_from([n, None])) if whole else n
+    spaced = rng.random(n) < draw(st.sampled_from([0.0, 0.1, 0.9]))
+    text = bytearray()
+    for bit, space, ws in zip(rng.integers(0, 2, n).tolist(), spaced.tolist(),
+                              rng.integers(0, 4, n).tolist()):
+        if space:
+            text.append(b" \t\r\n"[ws])
+        text.append(ord("0") + bit)
+    return "ascii", bytes(text) + b"\n" * draw(st.integers(0, 3)), None
+
+
+@settings(max_examples=150, deadline=None)
+@given(bit_files(), st.sampled_from([8, 24, 120]), st.integers(1, 3), st.data())
+def test_stream_level_counts_match_whole_file(packed_path, case, period, periods, data):
+    """The streamed pass, its chunks patched to a few periods, gives the n
+    and the level counts of the whole file loaded and counted at once."""
+    fmt, raw, n = case
+    packed_path.write_bytes(raw)
+    seq = load_packed(packed_path, n) if fmt == "packed" else load_ascii(packed_path)
+    levels = data.draw(st.one_of(st.none(), st.integers(1, max_borel_level(max(seq.n, 4)))))
+    if seq.n > 1000:  # keep the chunk count of the 2^16-bit files near ten
+        periods *= 64
+    with mock.patch.object(blockstats, "_CHUNK_BITS", period * periods):
+        if seq.n < 4:
+            with pytest.raises(ValueError, match=f"no admissible Borel level for n={seq.n}"):
+                stream_level_counts(packed_path, fmt, n, levels)
+            return
+        streamed = stream_level_counts(packed_path, fmt, n, levels)
+    assert streamed == (seq.n, level_counts(seq, levels))
+
+
+@pytest.mark.parametrize(
+    "fmt, raw, n",
+    [
+        ("packed", b"\xab\xcd\xef", None),
+        ("packed", b"\xab\xcd\xef", 20),
+        ("ascii", b"1010 11\n01", None),
+    ],
+)
+def test_stream_level_counts_read_a_pipe(tmp_path, fmt, raw, n):
+    """A pipe has no size until it is drained, so it is read as one chunk."""
+    regular = tmp_path / "bits"
+    regular.write_bytes(raw)
+    r, w = os.pipe()  # /dev/fd names the read end
+    try:
+        os.write(w, raw)
+        os.close(w)
+        assert stream_level_counts(f"/dev/fd/{r}", fmt, n) == stream_level_counts(regular, fmt, n)
+    finally:
+        os.close(r)
+
+
+def test_stream_level_counts_refuse_n_for_ascii(tmp_path):
+    p = tmp_path / "bits.txt"
+    p.write_text("0110")
+    with pytest.raises(ValueError, match="n applies to packed input only"):
+        stream_level_counts(p, "ascii", 4)
+
+
 def _count_peak_bytes(nbits: int, count) -> int:
     rng = np.random.default_rng(5)
     seq = BitSequence(rng.integers(0, 256, nbits // 8, dtype=np.uint8).tobytes(), nbits)
@@ -328,6 +400,25 @@ def test_level_counts_memory_is_flat_in_n():
     small, large = (_count_peak_bytes(n, level_counts) for n in (1 << 24, 1 << 26))
     assert large <= 1.25 * small
     assert large < 8 * 2**20  # the packed size of 2^26 bits
+
+
+def test_stream_level_counts_memory_is_flat_in_n(tmp_path):
+    """The streamed pass holds one chunk and the kernel's scratch, not the
+    file: its peak on 2^26 bits (8 MiB packed) equals that on 2^24 bits."""
+    rng = np.random.default_rng(5)
+    peaks = []
+    for n in (1 << 24, 1 << 26):
+        p = tmp_path / f"{n}.bin"
+        p.write_bytes(rng.integers(0, 256, n // 8, dtype=np.uint8).tobytes())
+        tracemalloc.start()
+        try:
+            assert stream_level_counts(p, "packed")[0] == n
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    small, large = peaks
+    assert large <= 1.1 * small
+    assert large < 4 * 2**20  # one 1.875 MiB chunk, a 1 MiB bincount copy, a 0.5 MiB histogram
 
 
 def test_kernel_holds_one_window_histogram_at_a_time():

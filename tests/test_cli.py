@@ -318,6 +318,23 @@ class TestGenerate:
         assert capsys.readouterr().err.startswith("error: Unable to allocate")
         assert not out.exists()
 
+    @pytest.mark.parametrize("seed", [-1, 2**128, 2**128 - 2**64])
+    def test_seed_outside_philox_keys_is_usage_error(self, tmp_path, capsys, seed):
+        # the detector's coin stream is keyed seed + 2^64, and Philox keys stay below 2^128
+        out = tmp_path / "x.bin"
+        argv = ["generate", "--kind", "bernoulli", "--n", "8", "--seed", str(seed)]
+        assert main(argv + ["--out", str(out)]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err == f"error: seed must be in [0, 2^128 - 2^64), got {seed}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["bernoulli", "markov", "detector"])
+    def test_largest_seed_generates(self, tmp_path, kind):
+        out = tmp_path / "x.bin"
+        argv = ["generate", "--kind", kind, "--n", "64", "--seed", str(2**128 - 2**64 - 1)]
+        assert main(argv + ["--out", str(out)]) == EXIT_PASS
+        assert out.stat().st_size == 8  # 64 bits, or the detector's 63 from 64 tags
+
     def test_bits_generator_cannot_emit_timetags(self, tmp_path):
         rc = main(
             [
@@ -437,6 +454,17 @@ class TestInputContract:
         argv = [command[0], str(p), "--format", "packed", "--bits", "-5", *command[1:]]
         assert main(argv) == EXIT_ERROR
         assert capsys.readouterr().err == "error: requested n=-5 is negative\n"
+
+    @pytest.mark.parametrize(
+        "command", [["analyze", "--max-level", "9"], ["posterior", "--level", "9"]]
+    )
+    def test_bad_character_wins_over_bad_level(self, tmp_path, capsys, command):
+        # the file is read to its end before n, and so the level's range, is known
+        p = tmp_path / "bad.txt"
+        p.write_text("0110" * 100 + "2")
+        assert main([command[0], str(p), "--format", "ascii", *command[1:]]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid character b'2' at byte offset 400")
 
     @pytest.mark.parametrize(
         "argv, option",
