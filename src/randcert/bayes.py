@@ -124,8 +124,8 @@ def bayes_bound_rhs(n: int, i: int) -> float:
         - two_i * log_gamma(x)
     )
     radicand = i * i / (n * n * polygamma1(x)) * ln_arg
-    if not math.isfinite(radicand) or radicand < 0:
-        raise NumericError(f"non-finite or negative radicand {radicand} at n={n}, i={i}")
+    if not math.isfinite(radicand) or radicand <= 0:  # positive by construction
+        raise NumericError(f"non-finite or non-positive radicand {radicand} at n={n}, i={i}")
     return math.sqrt(radicand)
 
 
@@ -160,10 +160,3 @@ def bayes_bound_test(
         reports.append(BayesBoundReport(c.level, lhs, rhs, lhs < rhs))
     return reports
 
-
-def bound_reports_to_json_dict(n: int, reports: list[BayesBoundReport]) -> dict:
-    return {
-        "n": n,
-        "levels": [r.to_json_dict() for r in reports],
-        "overall": all(r.passes for r in reports),
-    }

@@ -16,7 +16,11 @@ import numpy as np
 
 from .errors import FormatError
 
-_ASCII_WS = np.isin(np.arange(256), list(b" \t\r\n\x0b\x0c"))  # indexed by byte value
+# class of each byte value in ASCII input: its bit for "0"/"1", 2 for
+# whitespace (skipped), 3 for anything else (refused)
+_ASCII_CLASS = np.full(256, 3, dtype=np.uint8)
+_ASCII_CLASS[list(b" \t\r\n\x0b\x0c")] = 2
+_ASCII_CLASS[list(b"01")] = [0, 1]
 _ASCII_CHUNK = 1 << 23  # bits per chunk that load_ascii takes from stream_ascii
 _SLAB = 1 << 20  # bytes read, or packed bytes rendered, at a time
 
@@ -70,17 +74,15 @@ class BitSequence:
 
 
 def _bits_from_ascii(chunk: bytes, base_offset: int) -> np.ndarray:
-    arr = np.frombuffer(chunk, dtype=np.uint8)
-    is_bit = (arr | 1) == ord("1")  # "0" and "1" differ only in the low bit
-    ok = _ASCII_WS[arr] | is_bit
-    if not ok.all():
-        off = int(np.argmin(ok))
+    cls = _ASCII_CLASS[np.frombuffer(chunk, dtype=np.uint8)]
+    if cls.max(initial=0) == 3:
+        off = int(np.argmax(cls == 3))
         raise FormatError(
             f"invalid character {chunk[off:off + 1]!r} at byte offset "
             f"{base_offset + off} (expected '0', '1' or whitespace)",
             offset=base_offset + off,
         )
-    return arr[is_bit] & 1
+    return cls[cls < 2]
 
 
 def load_ascii(path) -> BitSequence:

@@ -10,14 +10,13 @@ sequence. A set of levels is counted in one walk over whole periods of
 lcm(8, *levels) bits (120 bits for levels 1..5), which always start on a
 byte and hold a fixed number of blocks of every level, a bounded slab of
 periods at a time, so working memory does not grow with n. Every block of
-a level up to 9 lies in one byte of the period or in the 16-bit window of
-a byte and the next, so the walk only histograms those windows and the
-bytes no window covers, and folds each block's counts out of them. Levels
-10 and up, reachable only through count_blocks, gather each block from the
-bytes it touches. The blocks after the last whole period are counted on
-their own. stream_level_counts runs the walk over a file one chunk of
-whole periods at a time and sums the chunks' counts, so it never holds the
-file.
+a level 1..9 (the levels count_blocks takes) lies in one byte of the
+period or in the 16-bit window of a byte and the next, so the walk only
+histograms those windows and the bytes no window covers, and folds each
+block's counts out of them. The blocks after the last whole period are
+counted on their own. stream_level_counts runs the walk over a file one
+chunk of whole periods at a time and sums the chunks' counts, so it never
+holds the file.
 """
 
 from __future__ import annotations
@@ -34,21 +33,20 @@ import numpy as np
 from . import bitstream
 from .bitstream import BitSequence
 
-# Dense 2^i counter vectors become impractical past this level.
-MAX_LEVEL = 24
+# The longest block that always lies in one byte or in a 16-bit window of a
+# byte and the next (7 bits of skip + 9). The Borel test needs levels up to
+# i_max(n) <= 5 for any n < 2^64 and the coupled bound stops at level 8, so
+# no caller needs longer blocks.
+MAX_LEVEL = 9
 
-# Periods (or gathered blocks) fed to one bincount, which copies them to
-# intp: 1 MiB of working memory.
+# Periods fed to one bincount, which copies them to intp: 1 MiB of working
+# memory.
 _SLAB = 1 << 17
 
 # Bits per chunk of stream_level_counts, 1.875 MiB: whole slabs of whole
 # periods for levels 1..4 (24 bits), 1..5 and 1..6 (120 bits), so a chunked
 # count walks as many slabs as one call over the whole file.
 _CHUNK_BITS = 120 * _SLAB
-
-# The longest block that always lies in one byte or in a 16-bit window of a
-# byte and the next (7 bits of skip + 9); longer blocks are gathered.
-_WINDOW_LEVEL = 9
 
 
 @dataclass(frozen=True)
@@ -76,21 +74,6 @@ class BlockCounts:
             and self.total == other.total
             and np.array_equal(self.counts, other.counts)
         )
-
-    def to_json_dict(self) -> dict:
-        return {
-            "level": self.level,
-            "total": self.total,
-            "counts": [int(c) for c in self.counts],
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "BlockCounts":
-        return cls(d["level"], np.asarray(d["counts"], dtype=np.int64), d["total"])
-
-
-def zero_counts(level: int) -> BlockCounts:
-    return BlockCounts(level, np.zeros(1 << level, dtype=np.int64), 0)
 
 
 def max_borel_level(n: int) -> int:
@@ -129,9 +112,9 @@ def _fold(hist: np.ndarray, width: int, skip: int, i: int) -> np.ndarray:
     return hist.reshape(1 << skip, 1 << i, 1 << (width - skip - i)).sum(axis=(0, 2))
 
 
-def _fold_windows(periods: np.ndarray, levels: tuple[int, ...]) -> list[np.ndarray]:
-    """Counts of the blocks of every level (each at most _WINDOW_LEVEL) in
-    periods, one whole lcm(8, *levels)-bit period of packed bytes per row.
+def _fold_windows(periods: np.ndarray, levels: list[int]) -> dict[int, np.ndarray]:
+    """Counts of the blocks of every distinct level (each at most MAX_LEVEL)
+    in periods, one whole lcm(8, *levels)-bit period of packed bytes per row.
 
     Every block lies in one byte of the period, or, when it crosses into the
     next byte, in the big-endian 16-bit window of that byte and the next;
@@ -172,60 +155,29 @@ def _fold_windows(periods: np.ndarray, levels: tuple[int, ...]) -> list[np.ndarr
             inside.setdefault((i, s), []).append(b)
     for (i, s), bs in inside.items():
         counts[i] += _fold(byte_hists[bs].sum(axis=0), 8, s, i)
-    return [counts[i] for i in levels]
-
-
-def _gather(periods: np.ndarray, levels: tuple[int, ...]) -> list[np.ndarray]:
-    """Counts of the blocks of the one level i in levels in periods, one
-    whole lcm(i, 8)-bit period per row: each block is read from the bytes it
-    touches, at most max(_SLAB, 2^i) blocks to one bincount."""
-    (i,) = levels
-    per_period = 8 * periods.shape[1] // i
-    mask = (1 << i) - 1
-    counts = np.zeros(1 << i, dtype=np.int64)
-    rows = max(1, max(_SLAB, 1 << i) // per_period)
-    buf = np.empty((per_period, min(rows, len(periods))), dtype=np.uint32)
-    for a in range(0, len(periods), rows):
-        slab = periods[a : a + rows]
-        vals = buf[:, : len(slab)]
-        for k, w in enumerate(vals):
-            first, skip = divmod(k * i, 8)
-            touched = (skip + i + 7) // 8
-            np.copyto(w, slab[:, first], casting="unsafe")
-            for t in range(first + 1, first + touched):
-                w <<= 8
-                w |= slab[:, t]
-            w >>= 8 * touched - skip - i
-            w &= mask
-        counts += np.bincount(vals.ravel(), minlength=1 << i)
-    return [counts]
+    return counts
 
 
 def _count_packed(data: np.ndarray, nbits: int, levels) -> list[np.ndarray]:
     """Counts of the nbits // i blocks of the first nbits bits of packed bytes,
     one vector per level i in levels.
 
-    Levels up to _WINDOW_LEVEL are counted together in one walk over whole
-    periods of lcm(8, *levels) bits (_fold_windows); each higher level walks
-    its own lcm(i, 8)-bit periods (_gather). The blocks after the last whole
-    period are read from one Python integer, so pad bits beyond nbits are
-    never read as data.
+    Every level is counted in one walk over whole periods of lcm(8, *levels)
+    bits (_fold_windows). The blocks after the last whole period are read
+    from one Python integer, so pad bits beyond nbits are never read as data.
     """
-    narrow = tuple(sorted({i for i in levels if i <= _WINDOW_LEVEL}))
-    walks = [(narrow, _fold_windows)] if narrow else []
-    walks += [((i,), _gather) for i in sorted(set(levels)) if i > _WINDOW_LEVEL]
-    counts = {}
-    for group, walk in walks:
-        period = math.lcm(8, *group)
-        full, pbytes = nbits // period, period // 8
-        rest = data[full * pbytes :]
-        for i, c in zip(group, walk(data[: full * pbytes].reshape(full, pbytes), group)):
-            tail = nbits // i - full * (period // i)  # blocks after the last whole period
-            tail_bytes = rest[: (tail * i + 7) // 8].tobytes()
-            word, width, mask = int.from_bytes(tail_bytes, "big"), 8 * len(tail_bytes), (1 << i) - 1
-            for k in range(1, tail + 1):
-                c[(word >> (width - k * i)) & mask] += 1
-            counts[i] = c
+    if not levels:  # stream_level_counts below level 1: no walk at all
+        return []
+    period = math.lcm(8, *levels)
+    full, pbytes = nbits // period, period // 8
+    rest = data[full * pbytes :]
+    counts = _fold_windows(data[: full * pbytes].reshape(full, pbytes), sorted(set(levels)))
+    for i, c in counts.items():
+        tail = nbits // i - full * (period // i)  # blocks after the last whole period
+        tail_bytes = rest[: (tail * i + 7) // 8].tobytes()
+        word, width, mask = int.from_bytes(tail_bytes, "big"), 8 * len(tail_bytes), (1 << i) - 1
+        for k in range(1, tail + 1):
+            c[(word >> (width - k * i)) & mask] += 1
     return [counts[i] for i in levels]
 
 

@@ -80,15 +80,13 @@ def borel_test(
     return [evaluate_level(c, n) for c in counts]
 
 
-def overall_verdict(reports: list[BorelLevelReport]) -> bool:
-    return all(r.passes for r in reports)
-
-
-def reports_to_json_dict(n: int, reports: list[BorelLevelReport]) -> dict:
+def reports_to_json_dict(n: int, reports: list) -> dict:
+    """A report section: n, each level's to_json_dict() and whether all pass.
+    Serves the Borel and the coupled-bound reports alike."""
     return {
         "n": n,
         "levels": [r.to_json_dict() for r in reports],
-        "overall": overall_verdict(reports),
+        "overall": all(r.passes for r in reports),
     }
 
 

@@ -59,7 +59,7 @@ def cmd_analyze(args) -> int:
     report = {
         "input": {"path": args.input, "format": args.format, "n": n},
         "borel": borel.reports_to_json_dict(n, borel_reports),
-        "bayes_bound": bayes.bound_reports_to_json_dict(n, bound_reports),
+        "bayes_bound": borel.reports_to_json_dict(n, bound_reports),
     }
     if args.bayes_posterior:
         posterior_levels = []
@@ -240,7 +240,7 @@ def main(argv=None) -> int:
         return EXIT_ERROR if exc.code else EXIT_PASS
     try:
         return args.func(args)
-    except (RandcertError, ValueError, OSError, IndexError, MemoryError) as exc:
+    except (RandcertError, ValueError, OSError, IndexError, MemoryError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

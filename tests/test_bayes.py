@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from randcert import bayes
+from randcert import borel
 from randcert.bayes import (
     bayes_bound_lhs,
     bayes_bound_rhs,
@@ -15,6 +15,7 @@ from randcert.bayes import (
     posterior,
 )
 from randcert.blockstats import BlockCounts
+from randcert.errors import NumericError
 from randcert.partitions import PartitionModel, enumerate_partitions
 from randcert.specialfn import log_gamma
 
@@ -144,6 +145,14 @@ class TestBayesBoundRhs:
         with pytest.raises(ValueError):
             bayes_bound_rhs(2**32, 9)
 
+    @pytest.mark.parametrize(
+        "n, i", [(2**54, 1), (2**400, 1), (2**400, 8)], ids=["2^54-L1", "2^400-L1", "2^400-L8"]
+    )
+    def test_cancelled_radicand_is_refused(self, n, i):
+        # the rhs is positive by construction; a radicand of 0 is precision lost
+        with pytest.raises(NumericError, match="non-positive radicand 0.0 "):
+            bayes_bound_rhs(n, i)
+
 
 class TestBayesBoundLhs:
     def test_uniform_counts_give_zero(self):
@@ -211,6 +220,6 @@ def test_eq3_structural_consistency():
 
 def test_bound_report_json():
     reports = bayes_bound_test(bits_from_string("0110" * 16), 2)
-    d = bayes.bound_reports_to_json_dict(64, reports)
+    d = borel.reports_to_json_dict(64, reports)
     assert d["n"] == 64
     assert len(d["levels"]) == 2

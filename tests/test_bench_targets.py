@@ -2,26 +2,43 @@
 change that deletes or renames one fails here instead of breaking
 `perfbench/run.py --trace 1`."""
 
+import ast
 import importlib
 import sys
 from pathlib import Path
 
 import pytest
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+sys.path.insert(0, str(PERFBENCH))
 
 import tracing  # noqa: E402
 from randcert.cli import EXIT_ERROR, main  # noqa: E402
 
-# called by name from tracing.py rather than wrapped through TARGETS
-DIRECT_CALLS = [
-    ("bitstream", "stream_packed"),
-    ("blockstats", "count_blocks_parallel"),
-    ("specialfn", "log_gamma"),
-    ("extract", "load_timetags_binary"),
-    ("extract", "write_timetags_binary"),
-    ("extract", "TimeTagSeries"),
-]
+
+def _direct_names() -> list[tuple[str, str]]:
+    """Every <module>.<name> attribute that perfbench/*.py reads off a module
+    it imports with `from randcert import ...`."""
+    names = set()
+    for path in sorted(PERFBENCH.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        mods = {
+            alias.asname or alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module == "randcert"
+            for alias in node.names
+        }
+        names |= {
+            (node.value.id, node.attr)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in mods
+        }
+    return sorted(names)
+
+
+DIRECT_CALLS = _direct_names()
 
 
 @pytest.mark.parametrize(
@@ -34,10 +51,17 @@ def test_target_resolves(modname, qual):
     assert callable(found), f"randcert.{modname}.{qual} is gone"
 
 
+def test_direct_names_found():
+    # the walk sees the names that workloads.py and tracing.py call
+    assert {("bitstream", "write_ascii"), ("simgen", "gen_bernoulli"), ("cli", "main")} <= set(
+        DIRECT_CALLS
+    )
+
+
 @pytest.mark.parametrize("modname, name", DIRECT_CALLS, ids=lambda v: v)
 def test_direct_call_resolves(modname, name):
     mod = importlib.import_module(f"randcert.{modname}")
-    assert callable(getattr(mod, name, None)), f"randcert.{modname}.{name} is gone"
+    assert hasattr(mod, name), f"randcert.{modname}.{name} is gone"
 
 
 # every loader and writer the CLI reaches, with a step that reaches it; the

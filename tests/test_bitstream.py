@@ -1,5 +1,6 @@
 import hashlib
 import os
+import re
 import tracemalloc
 
 import numpy as np
@@ -36,6 +37,20 @@ class TestLoadAscii:
         with pytest.raises(FormatError, match="at byte offset 1048580 ") as exc:
             bitstream.load_ascii(p)
         assert exc.value.offset == 1048580
+
+    def test_every_byte_value(self):
+        """'0' and '1' are bits, the six ASCII whitespace bytes are skipped,
+        and every other byte value is refused at its offset."""
+        for byte in range(256):
+            chunk = b"1" + bytes([byte]) + b"0"
+            if byte in b"01":
+                assert bitstream._bits_from_ascii(chunk, 5).tolist() == [1, byte & 1, 0]
+            elif byte in b" \t\r\n\x0b\x0c":
+                assert bitstream._bits_from_ascii(chunk, 5).tolist() == [1, 0]
+            else:
+                with pytest.raises(FormatError, match=re.escape(repr(bytes([byte])))) as exc:
+                    bitstream._bits_from_ascii(chunk, 5)
+                assert exc.value.offset == 6
 
     def test_peak_memory_flat(self, tmp_bits_file):
         # 2^24 + 1 bits; the spaces make reads end inside a byte of bits

@@ -22,7 +22,6 @@ from randcert.blockstats import (
     max_borel_level,
     merge_counts,
     stream_level_counts,
-    zero_counts,
 )
 from randcert.borel import borel_test
 
@@ -76,7 +75,7 @@ class TestCountBlocks:
         seq = bits_from_string("10" * 20)
         with pytest.raises(ValueError):
             count_blocks(seq, 0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^block length must be in \[1, 9\], got 10$"):
             count_blocks(seq, blockstats.MAX_LEVEL + 1)
 
 
@@ -90,7 +89,7 @@ class TestMergeCounts:
 
     def test_zero_identity(self):
         a = BlockCounts(2, np.array([3, 1, 0, 2]), 6)
-        assert merge_counts(a, zero_counts(2)) == a
+        assert merge_counts(a, BlockCounts(2, np.zeros(4), 0)) == a
 
     def test_block_aligned_split(self):
         whole = count_blocks(bits_from_string("110100"), 2)
@@ -100,7 +99,7 @@ class TestMergeCounts:
 
     def test_level_mismatch(self):
         with pytest.raises(ValueError):
-            merge_counts(zero_counts(1), zero_counts(2))
+            merge_counts(BlockCounts(1, np.zeros(2), 0), BlockCounts(2, np.zeros(4), 0))
 
 
 @given(st.lists(st.integers(0, 1), min_size=1, max_size=300), st.integers(1, 6))
@@ -147,11 +146,6 @@ def test_parallel_matches_serial():
     seq = BitSequence(rng.integers(0, 256, 4097, dtype=np.uint8).tobytes(), 4097 * 8)
     for i in (1, 2, 3, 5, 7):
         assert count_blocks_parallel(seq, i, workers=4) == count_blocks(seq, i)
-
-
-def test_json_roundtrip():
-    c = count_blocks(bits_from_string("1101001110"), 2)
-    assert BlockCounts.from_json_dict(c.to_json_dict()) == c
 
 
 @st.composite
@@ -247,10 +241,9 @@ def test_level_counts_match_bit_slice_oracle(k, periods, residue, seed, slab):
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.integers(1, blockstats.MAX_LEVEL), min_size=1, max_size=4), st.data())
 def test_kernel_counts_any_levels(levels, data):
-    """One kernel call over levels in any order, repeats included, narrow ones
-    sharing one walk of lcm(8, *levels) bits and wide ones gathered, equals
-    the oracle per level."""
-    period = math.lcm(8, *[i for i in levels if i <= 9])
+    """One kernel call over levels in any order, repeats included, all sharing
+    one walk of lcm(8, *levels) bits, equals the oracle per level."""
+    period = math.lcm(8, *levels)
     n = data.draw(st.integers(0, 3)) * period + data.draw(st.integers(0, period - 1))
     n = max(n, *levels)
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))

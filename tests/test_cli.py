@@ -153,6 +153,30 @@ class TestBounds:
         assert "i_max=2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["bounds", str(10**400)], "int too large to convert to float"),
+        (["bounds", str(2**1023)], "int too large to convert to float"),
+        (["bounds", str(2**400)], "non-finite or non-positive radicand 0.0"),
+        (
+            ["extract", "{tags}", "--format", "text", "--kind", "timestamps",
+             "--divisor", str(10**30), "--out", "{out}"],
+            f"divisor {10**30} exceeds 2^63 - 1",
+        ),
+    ],
+    ids=["bounds-beyond-float", "bounds-2^1023", "bounds-radicand-cancels", "extract-huge-divisor"],
+)
+def test_out_of_range_number_is_usage_error(tmp_path, capsys, argv, error):
+    tags = tmp_path / "t.txt"
+    tags.write_text("100\n250\n400\n")
+    argv = [a.format(tags=tags, out=tmp_path / "o") for a in argv]
+    assert main(argv) == EXIT_ERROR
+    out, err = capsys.readouterr()
+    assert err.startswith(f"error: {error}") and err.count("\n") == 1
+    assert out == "" and not (tmp_path / "o").exists()
+
+
 class TestExtract:
     def test_published_listing(self, tmp_path, capsys):
         src = tmp_path / "tags.txt"
