@@ -22,9 +22,10 @@ from .blockstats import BlockCounts, level_counts
 from .borel import borel_deviations
 from .errors import NumericError
 from .partitions import PartitionModel
-from .specialfn import log_gamma, polygamma1
+from .specialfn import log_gamma, polygamma1, stirling_tail
 
 _LN2 = math.log(2.0)
+_LN_2PI = math.log(2.0 * math.pi)
 _LG_HALF = log_gamma(0.5)
 
 BOUND_MAX_LEVEL = 8
@@ -116,12 +117,15 @@ def bayes_bound_rhs(n: int, i: int) -> float:
         )
     x = 0.5 + n / (i * two_i)
     half = 1 << (i - 1)  # 1 / 2^(1-i)
+    # -n ln 2 + 2^i lnG(1/2) + lnG(2^i x) - lnG(2^(i-1)) - 2^i lnG(x), with
+    # lnG(2^i x) - 2^i lnG(x) by Stirling's formula: its n ln 2 cancels exactly
     ln_arg = (
-        -n * _LN2
+        i * (half - 0.5) * _LN2
+        + 0.5 * (two_i - 1) * (math.log(x) - _LN_2PI)
         + two_i * _LG_HALF
-        + log_gamma(half + n / i)
         - log_gamma(half)
-        - two_i * log_gamma(x)
+        + stirling_tail(two_i * x)
+        - two_i * stirling_tail(x)
     )
     radicand = i * i / (n * n * polygamma1(x)) * ln_arg
     if not math.isfinite(radicand) or radicand <= 0:  # positive by construction
@@ -135,10 +139,7 @@ def bayes_bound_lhs(counts: BlockCounts) -> float:
     d = borel_deviations(counts)[1:]
     s = float(d.sum())
     q = float((d * d).sum())
-    radicand = 0.5 * (s * s + q)
-    if radicand < -1e-15:
-        raise NumericError(f"negative radicand {radicand} in coupled deviation sum")
-    return math.sqrt(max(radicand, 0.0))
+    return math.sqrt(0.5 * (s * s + q))
 
 
 def bayes_bound_test(

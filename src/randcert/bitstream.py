@@ -51,8 +51,12 @@ class BitSequence:
 
     @classmethod
     def from_bits(cls, bits: Iterable[int]) -> "BitSequence":
-        arr = np.fromiter(bits, dtype=np.uint8)
-        if arr.size and arr.max() > 1:
+        """Pack 0/1 values MSB-first: a 1-D bool or integer ndarray as it is,
+        any other iterable through np.fromiter."""
+        arr = bits
+        if not (isinstance(bits, np.ndarray) and bits.ndim == 1 and bits.dtype.kind in "biu"):
+            arr = np.fromiter(bits, dtype=np.uint8)
+        if arr.size and arr.dtype != bool and (arr.max() > 1 or arr.min() < 0):
             raise ValueError("bits must be 0 or 1")
         return cls(np.packbits(arr).tobytes(), int(arr.size))
 

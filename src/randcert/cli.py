@@ -146,7 +146,7 @@ def cmd_generate(args) -> int:
     elif timetags:
         raise ValueError(f"{cfg.kind} generator emits bits, not time tags")
     else:
-        out = simgen.generate(cfg)
+        out = (simgen.gen_bernoulli if cfg.kind == simgen.BERNOULLI else simgen.gen_markov)(cfg)
     _write(out, args.out, args.out_format)
     print(f"wrote {args.out} ({cfg.kind}, n = {cfg.n}, seed = {cfg.seed})")
     return EXIT_PASS

@@ -72,8 +72,7 @@ def timetags_to_bits(series: TimeTagSeries, divisor: int = 1) -> BitSequence:
         raise ValueError(f"divisor must be a positive integer, got {divisor}")
     if divisor > _INT64_MAX:
         raise ValueError(f"divisor {divisor} exceeds 2^63 - 1, the largest time tag")
-    bits = ((series.values // divisor) & 1).astype(np.uint8)
-    return BitSequence(np.packbits(bits).tobytes(), int(bits.size))
+    return BitSequence.from_bits(((series.values // divisor) & 1).astype(np.uint8))
 
 
 def load_timetags_text(path, kind: str, unit: str = "") -> TimeTagSeries:

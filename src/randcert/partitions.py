@@ -9,6 +9,7 @@ t, block ids appearing in first-use order starting at 0.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -18,30 +19,22 @@ ENUM_MAX_MODELS = 1 << 20  # larger model spaces are refused, not walked
 
 
 def bell_number(n: int) -> int:
-    """Exact n-th Bell number via the Bell triangle."""
+    """Exact n-th Bell number."""
     if not 0 <= n <= BELL_MAX_N:
         raise ValueError(f"bell_number defined for 0 <= n <= {BELL_MAX_N}, got {n}")
-    if n == 0:
-        return 1
-    row = [1]
-    for _ in range(n - 1):
-        nxt = [row[-1]]
-        for v in row:
-            nxt.append(nxt[-1] + v)
-        row = nxt
-    return row[-1]
+    return _partition_count(n, n)
 
 
-def _exceeds_model_limit(n: int, max_blocks: int) -> bool:
-    """Whether n items have more than ENUM_MAX_MODELS partitions into at most
-    max_blocks blocks, i.e. sum_{k <= max_blocks} S(n, k) > ENUM_MAX_MODELS,
-    from the exact Stirling recurrence S(m, k) = k S(m-1, k) + S(m-1, k-1)."""
+def _partition_count(n: int, max_blocks: int, stop: float = math.inf) -> int:
+    """Partitions of n items into at most max_blocks blocks, sum_{k <= max_blocks}
+    S(n, k), from the exact Stirling recurrence S(m, k) = k S(m-1, k) + S(m-1, k-1).
+    The sum never falls as m grows, so a partial sum past stop is returned as is."""
     row = [1] + [0] * max_blocks  # S(0, k) for k = 0..max_blocks
     for _ in range(n):
         row = [0] + [k * row[k] + row[k - 1] for k in range(1, max_blocks + 1)]
-        if sum(row) > ENUM_MAX_MODELS:  # S(m, k) never falls as m grows
-            return True
-    return False
+        if sum(row) > stop:
+            break
+    return sum(row)
 
 
 def _level_for_size(n: int) -> int:
@@ -99,7 +92,7 @@ def enumerate_partitions(n: int, max_blocks: int | None = None) -> Iterator[Part
         max_blocks = n
     if not 1 <= max_blocks <= n:
         raise ValueError(f"max_blocks must be in [1, {n}], got {max_blocks}")
-    if _exceeds_model_limit(n, max_blocks):
+    if _partition_count(n, max_blocks, ENUM_MAX_MODELS) > ENUM_MAX_MODELS:
         raise ValueError(
             f"refusing to enumerate more than {ENUM_MAX_MODELS} partitions of "
             f"{n} items into at most {max_blocks} blocks; lower max_blocks"

@@ -8,24 +8,20 @@ produce identical output bytes on every platform and numpy version.
 
 from __future__ import annotations
 
-import io
 import math
 from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bitstream import BitSequence
+from .bitstream import BitSequence, concat
 from .extract import TIMESTAMPS, TimeTagSeries
 
 BERNOULLI = "bernoulli"
 MARKOV = "markov"
 DETECTOR = "detector"
 
-# Uniforms drawn at a time; a multiple of 8, so the packed chunks written to
-# one buffer concatenate cleanly, and getvalue() hands that buffer over
-# without a copy.
-_CHUNK = 1 << 22
+_CHUNK = 1 << 22  # uniforms drawn at a time; a multiple of 8, so the packed chunks concatenate
 _BATCH = 1 << 16  # uniforms per refill of the detector streams; fixes the output bytes
 _PIECE = 1 << 12  # arrivals listed as Python floats at a time
 
@@ -81,10 +77,7 @@ def gen_bernoulli(cfg: GeneratorConfig) -> BitSequence:
     """n i.i.d. bits with P(1) = theta."""
     if cfg.kind != BERNOULLI:
         raise ValueError(f"config kind is {cfg.kind!r}, expected {BERNOULLI!r}")
-    out = io.BytesIO()
-    for u in _uniform_chunks(cfg.seed, cfg.n):
-        out.write(np.packbits(u < cfg.theta))
-    return BitSequence(out.getvalue(), cfg.n)
+    return concat(BitSequence.from_bits(u < cfg.theta) for u in _uniform_chunks(cfg.seed, cfg.n))
 
 
 def gen_markov(cfg: GeneratorConfig) -> BitSequence:
@@ -92,18 +85,20 @@ def gen_markov(cfg: GeneratorConfig) -> BitSequence:
     probability stay_prob. stay_prob = 1/2 reduces to Bernoulli(1/2)."""
     if cfg.kind != MARKOV:
         raise ValueError(f"config kind is {cfg.kind!r}, expected {MARKOV!r}")
-    out = io.BytesIO()
-    prev = np.uint8(0)
-    for k, u in enumerate(_uniform_chunks(cfg.seed, cfg.n)):
-        flips = (u >= cfg.stay_prob).astype(np.uint8)
-        if k == 0:
-            flips[0] = u[0] < 0.5  # the fair first bit, as a flip from 0
-        bits = np.cumsum(flips, dtype=np.uint8)  # wraps mod 256, parity kept
-        bits += prev
-        bits &= 1
-        prev = bits[-1]
-        out.write(np.packbits(bits))
-    return BitSequence(out.getvalue(), cfg.n)
+
+    def chunks():
+        prev = np.uint8(0)
+        for k, u in enumerate(_uniform_chunks(cfg.seed, cfg.n)):
+            flips = (u >= cfg.stay_prob).astype(np.uint8)
+            if k == 0:
+                flips[0] = u[0] < 0.5  # the fair first bit, as a flip from 0
+            bits = np.cumsum(flips, dtype=np.uint8)  # wraps mod 256, parity kept
+            bits += prev
+            bits &= 1
+            prev = bits[-1]
+            yield BitSequence.from_bits(bits)
+
+    return concat(chunks())
 
 
 def _copy_out(listed_t, listed_d, times, bits, end) -> None:
@@ -194,13 +189,6 @@ def gen_detector(cfg: GeneratorConfig) -> tuple[TimeTagSeries, BitSequence]:
     np.rint(times, out=times)
     if n and times[-1] >= 2.0**63:  # times never decrease; past 2^63 no int64 holds them
         raise ValueError(f"n={n} events at mean_interarrival={cfg.mean_interarrival} pass 2^63")
-    tags = TimeTagSeries(times.astype(np.int64), "unit", TIMESTAMPS)
-    return tags, BitSequence(np.packbits(bits).tobytes(), n)
-
-
-def generate(cfg: GeneratorConfig):
-    if cfg.kind == BERNOULLI:
-        return gen_bernoulli(cfg)
-    if cfg.kind == MARKOV:
-        return gen_markov(cfg)
-    return gen_detector(cfg)
+    stamps = times.astype(np.int64)
+    del times  # freed before the series' diff check, so the float times never meet it
+    return TimeTagSeries(stamps, "unit", TIMESTAMPS), BitSequence.from_bits(bits)

@@ -1,4 +1,4 @@
-"""Log-gamma and trigamma for the coupled frequency bound.
+"""Log-gamma, its Stirling tail and trigamma for the coupled frequency bound.
 
 The bound's gamma arguments reach ~1e9, so everything is computed in log
 space via the Stirling asymptotic series, with upward recurrence to move
@@ -45,13 +45,21 @@ def log_gamma(x: float) -> float:
     while x < _LG_ASYMPTOTIC_MIN:
         shift -= math.log(x)
         x += 1.0
-    inv2 = 1.0 / (x * x)
+    return shift + (x - 0.5) * math.log(x) - x + _HALF_LN_2PI + stirling_tail(x)
+
+
+def stirling_tail(z: float) -> float:
+    """T(z) = ln Gamma(z) - [(z - 1/2) ln z - z + ln(2 pi) / 2] for z > 0, about
+    1 / (12 z): the asymptotic series from 13 up, log_gamma less the rest below."""
+    if z < _LG_ASYMPTOTIC_MIN:
+        return log_gamma(z) - ((z - 0.5) * math.log(z) - z + _HALF_LN_2PI)
+    inv2 = 1.0 / (z * z)
     series = 0.0
-    term = 1.0 / x
+    term = 1.0 / z
     for c in _STIRLING:
         series += c * term
         term *= inv2
-    return shift + (x - 0.5) * math.log(x) - x + _HALF_LN_2PI + series
+    return series
 
 
 def polygamma1(x: float) -> float:

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -116,6 +117,21 @@ class TestPosterior:
         assert t.models[t.best_index].is_symmetric
 
 
+def rhs_by_mpmath(n: int, i: int) -> float:
+    """The coupled bound's right side from its definition, at 400 digits."""
+    with mpmath.workdps(400):
+        n, m = mpmath.mpf(n), mpmath.mpf(2) ** i
+        x = 0.5 + n / (i * m)
+        ln_arg = (
+            -n * mpmath.log(2)
+            + m * mpmath.loggamma(0.5)
+            + mpmath.loggamma(m / 2 + n / i)
+            - mpmath.loggamma(m / 2)
+            - m * mpmath.loggamma(x)
+        )
+        return float(mpmath.sqrt(i * i / (n * n * mpmath.polygamma(1, x)) * ln_arg))
+
+
 class TestBayesBoundRhs:
     @pytest.mark.parametrize(
         "i,expected",
@@ -148,10 +164,22 @@ class TestBayesBoundRhs:
     @pytest.mark.parametrize(
         "n, i", [(2**54, 1), (2**400, 1), (2**400, 8)], ids=["2^54-L1", "2^400-L1", "2^400-L8"]
     )
-    def test_cancelled_radicand_is_refused(self, n, i):
-        # the rhs is positive by construction; a radicand of 0 is precision lost
+    def test_large_n_matches_mpmath(self, n, i):
+        # a float sum of -n ln 2 and the log-gammas cancelled to 0 here
+        assert bayes_bound_rhs(n, i) == pytest.approx(rhs_by_mpmath(n, i), rel=1e-12)
+
+    @pytest.mark.parametrize("i", range(1, 9))
+    def test_matches_mpmath_from_least_n_to_2_500(self, i):
+        least = i << i
+        grid = [least, least + 1, 3 * least, 1000 * least + 7, 2**20 + 13, 2**32, 2**53 + 1]
+        grid += [2**e for e in range(60, 501, 40)]
+        for n in grid:
+            assert bayes_bound_rhs(n, i) == pytest.approx(rhs_by_mpmath(n, i), rel=1e-12), n
+
+    def test_overflowing_n_squared_is_refused(self):
+        # n * n is inf for a float n = 1e300, so the radicand reads 0.0
         with pytest.raises(NumericError, match="non-positive radicand 0.0 "):
-            bayes_bound_rhs(n, i)
+            bayes_bound_rhs(1e300, 1)
 
 
 class TestBayesBoundLhs:

@@ -1,9 +1,11 @@
-"""Every library name the traced benchmark wraps or calls must exist, so a
-change that deletes or renames one fails here instead of breaking
+"""Every library name the traced benchmark wraps or calls must exist, and
+every call it makes must still bind, so a change that deletes or renames
+one, or drops a parameter it passes, fails here instead of breaking
 `perfbench/run.py --trace 1`."""
 
 import ast
 import importlib
+import inspect
 import sys
 from pathlib import Path
 
@@ -16,10 +18,9 @@ import tracing  # noqa: E402
 from randcert.cli import EXIT_ERROR, main  # noqa: E402
 
 
-def _direct_names() -> list[tuple[str, str]]:
-    """Every <module>.<name> attribute that perfbench/*.py reads off a module
-    it imports with `from randcert import ...`."""
-    names = set()
+def _perfbench_trees():
+    """(file name, syntax tree, names bound by `from randcert import ...`) of
+    each perfbench/*.py."""
     for path in sorted(PERFBENCH.glob("*.py")):
         tree = ast.parse(path.read_text())
         mods = {
@@ -28,6 +29,14 @@ def _direct_names() -> list[tuple[str, str]]:
             if isinstance(node, ast.ImportFrom) and node.module == "randcert"
             for alias in node.names
         }
+        yield path.name, tree, mods
+
+
+def _direct_names() -> list[tuple[str, str]]:
+    """Every <module>.<name> attribute that perfbench/*.py reads off a module
+    it imports with `from randcert import ...`."""
+    names = set()
+    for _, tree, mods in _perfbench_trees():
         names |= {
             (node.value.id, node.attr)
             for node in ast.walk(tree)
@@ -38,7 +47,30 @@ def _direct_names() -> list[tuple[str, str]]:
     return sorted(names)
 
 
+def _bound_calls() -> list[tuple[str, str, str, int, tuple[str, ...]]]:
+    """Every call <module>.<name>(...) that perfbench/*.py makes on such a
+    module: where it is, and its positional count and keyword names."""
+    calls = []
+    for fname, tree, mods in _perfbench_trees():
+        calls += [
+            (
+                f"{fname}:{node.lineno}",
+                node.func.value.id,
+                node.func.attr,
+                len(node.args),
+                tuple(k.arg for k in node.keywords),
+            )
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id in mods
+        ]
+    return sorted(calls)
+
+
 DIRECT_CALLS = _direct_names()
+BOUND_CALLS = _bound_calls()
 
 
 @pytest.mark.parametrize(
@@ -62,6 +94,30 @@ def test_direct_names_found():
 def test_direct_call_resolves(modname, name):
     mod = importlib.import_module(f"randcert.{modname}")
     assert hasattr(mod, name), f"randcert.{modname}.{name} is gone"
+
+
+def test_bound_calls_found():
+    # the walk sees positional and keyword arguments, in tracing.py and workloads.py
+    found = {call[1:] for call in BOUND_CALLS}
+    assert {
+        ("blockstats", "count_blocks_parallel", 2, ("workers",)),
+        ("extract", "TimeTagSeries", 3, ()),
+        ("simgen", "gen_bernoulli", 1, ()),
+    } <= found
+
+
+@pytest.mark.parametrize(
+    "where, modname, name, positional, keywords",
+    BOUND_CALLS,
+    # the ids leave out the line, so an edit that moves a call keeps them
+    ids=[f"{c[0].partition(':')[0]}-{c[1]}.{c[2]}" for c in BOUND_CALLS],
+)
+def test_direct_call_binds(where, modname, name, positional, keywords):
+    target = getattr(importlib.import_module(f"randcert.{modname}"), name)
+    try:
+        inspect.signature(target).bind(*range(positional), **dict.fromkeys(keywords))
+    except TypeError as exc:
+        pytest.fail(f"{where}: randcert.{modname}.{name} no longer takes this call: {exc}")
 
 
 # every loader and writer the CLI reaches, with a step that reaches it; the

@@ -162,6 +162,24 @@ class TestFromBytes:
         assert peak < 1.25 * len(data)
 
 
+class TestFromBits:
+    def test_packs_msb_first(self):
+        assert BitSequence.from_bits([1, 0, 1, 1, 0, 0, 0, 0, 1]).data == bytes([0xB0, 0x80])
+
+    @pytest.mark.parametrize("n", [0, 5, 8, 13])
+    @pytest.mark.parametrize("dtype", [bool, np.uint8, np.int64])
+    def test_array_packs_like_a_list(self, dtype, n):
+        values = [(k * 7 + k // 3) % 2 for k in range(n)]
+        assert BitSequence.from_bits(np.array(values, dtype=dtype)) == BitSequence.from_bits(values)
+
+    @pytest.mark.parametrize(
+        "values, dtype", [([0, 1, 2], np.uint8), ([0, 1, 2], np.int64), ([1, -1, 0], np.int64)]
+    )
+    def test_array_holding_other_values_is_refused(self, values, dtype):
+        with pytest.raises(ValueError, match="bits must be 0 or 1"):
+            BitSequence.from_bits(np.array(values, dtype=dtype))
+
+
 class TestBitAt:
     def test_values(self):
         seq = bits_from_string("101")

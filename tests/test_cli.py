@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -152,20 +153,26 @@ class TestBounds:
         assert main(["bounds", "16", "--levels", "3"]) == EXIT_ERROR
         assert "i_max=2" in capsys.readouterr().err
 
+    def test_2_to_400_gives_eight_finite_rows(self, capsys):
+        # the right sides no longer cancel to 0 in floats from n = 2^54 up
+        assert main(["bounds", str(2**400)]) == EXIT_PASS
+        rows = [line.split() for line in capsys.readouterr().out.splitlines()[2:]]
+        assert [int(r[0]) for r in rows] == list(range(1, 9))
+        assert all(0 < float(v) < math.inf for r in rows for v in r[1:])
+
 
 @pytest.mark.parametrize(
     "argv, error",
     [
         (["bounds", str(10**400)], "int too large to convert to float"),
         (["bounds", str(2**1023)], "int too large to convert to float"),
-        (["bounds", str(2**400)], "non-finite or non-positive radicand 0.0"),
         (
             ["extract", "{tags}", "--format", "text", "--kind", "timestamps",
              "--divisor", str(10**30), "--out", "{out}"],
             f"divisor {10**30} exceeds 2^63 - 1",
         ),
     ],
-    ids=["bounds-beyond-float", "bounds-2^1023", "bounds-radicand-cancels", "extract-huge-divisor"],
+    ids=["bounds-beyond-float", "bounds-2^1023", "extract-huge-divisor"],
 )
 def test_out_of_range_number_is_usage_error(tmp_path, capsys, argv, error):
     tags = tmp_path / "t.txt"

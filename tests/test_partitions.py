@@ -2,11 +2,17 @@ import math
 
 import pytest
 
-from randcert.partitions import PartitionModel, bell_number, enumerate_partitions
+from randcert.partitions import (
+    ENUM_MAX_MODELS,
+    PartitionModel,
+    _partition_count,
+    bell_number,
+    enumerate_partitions,
+)
 
 
 def bell_by_recurrence(n):
-    # B_{k+1} = sum_j C(k, j) B_j, independent of the Bell-triangle path
+    # B_{k+1} = sum_j C(k, j) B_j, independent of the Stirling rows bell_number sums
     b = [1]
     for k in range(n):
         b.append(sum(math.comb(k, j) * b[j] for j in range(k + 1)))
@@ -68,6 +74,15 @@ class TestEnumeration:
             models = list(enumerate_partitions(n))
             assert len(models) == bell_number(n)
             assert len({m.rgs for m in models}) == len(models)
+
+    @pytest.mark.parametrize("n", [2, 4, 8])
+    def test_partition_count_matches_enumeration(self, n):
+        for k in range(1, n + 1):
+            assert _partition_count(n, k) == len(list(enumerate_partitions(n, k)))
+
+    def test_partition_count_stops_past_the_limit(self):
+        early = _partition_count(16, 3, ENUM_MAX_MODELS)
+        assert ENUM_MAX_MODELS < early < _partition_count(16, 3) == 7_174_454
 
     def test_lexicographic_order(self):
         rgss = [m.rgs for m in enumerate_partitions(8)]

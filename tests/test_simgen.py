@@ -77,13 +77,15 @@ class TestBernoulli:
         assert gen_bernoulli(cfg) == whole
 
 
-@pytest.mark.parametrize("kind", ["bernoulli", "markov"])
-def test_bit_generators_hold_one_copy_of_their_output(monkeypatch, kind):
+@pytest.mark.parametrize(
+    "kind, gen", [("bernoulli", gen_bernoulli), ("markov", gen_markov)], ids=["bernoulli", "markov"]
+)
+def test_bit_generators_hold_one_copy_of_their_output(monkeypatch, kind, gen):
     """Packed chunks go to one buffer, not to a list joined at the end."""
     monkeypatch.setattr(simgen, "_CHUNK", 1 << 16)
     tracemalloc.start()
     try:
-        seq = simgen.generate(GeneratorConfig(kind, n=1 << 26, seed=4, stay_prob=0.6))
+        seq = gen(GeneratorConfig(kind, n=1 << 26, seed=4, stay_prob=0.6))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -206,10 +208,11 @@ class TestDetector:
     ids=["bench", "always-afterpulse"],
 )
 def test_detector_memory_per_event(defects):
-    """The output arrays and their int64 and diff copies take about 26 bytes
-    an event, and the peak reads 28. Listing every event as Python floats
-    until the end reads 54, and drawing all n after-pulse ranks up front
-    reads 57 at afterpulse_prob = 1."""
+    """The int64 tags, their diff check and the bits take about 17 bytes an
+    event, and the peak reads 21. Keeping the float times alive beside them
+    reads 28, listing every event as Python floats until the end reads 54,
+    and drawing all n after-pulse ranks up front reads 57 at
+    afterpulse_prob = 1."""
     n = 1 << 20
     tracemalloc.start()
     try:
@@ -217,7 +220,7 @@ def test_detector_memory_per_event(defects):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 34 * n
+    assert peak < 24 * n
 
 
 @pytest.mark.parametrize("delay", [0.0, 75.0])

@@ -1,10 +1,11 @@
 import math
 
+import mpmath
 import pytest
 from scipy.special import gammaln as scipy_gammaln
 from scipy.special import polygamma as scipy_polygamma
 
-from randcert.specialfn import log_gamma, polygamma1
+from randcert.specialfn import log_gamma, polygamma1, stirling_tail
 
 
 def test_half_integer_identities():
@@ -27,6 +28,14 @@ def test_trigamma_recurrence():
 @pytest.mark.parametrize("x", [0.5, 0.9, 1.5, 7.3, 13.0, 100.0, 1e6, 1e9, 1e12])
 def test_log_gamma_against_scipy(x):
     assert log_gamma(x) == pytest.approx(float(scipy_gammaln(x)), rel=1e-13)
+
+
+@pytest.mark.parametrize("z", [0.5, 1.5, 7.3, 12.9, 13.0, 100.0, 1e6, 1e12])
+def test_stirling_tail_against_mpmath(z):
+    with mpmath.workdps(50):
+        main = (z - 0.5) * mpmath.log(z) - z + mpmath.log(2 * mpmath.pi) / 2
+        expected = float(mpmath.loggamma(z) - main)
+    assert stirling_tail(z) == pytest.approx(expected, rel=1e-11)
 
 
 @pytest.mark.parametrize("x", [0.5, 1.0, 2.5, 9.9, 10.0, 123.4, 1e6, 1e9])
