@@ -101,20 +101,29 @@ def load_packed(path, n: int | None = None) -> BitSequence:
     return chunks[0] if chunks else BitSequence(b"", 0)
 
 
-def write_ascii(seq: BitSequence, path) -> None:
-    """Write the bits as '0'/'1' text ended by one newline."""
-    data = np.frombuffer(seq.data, dtype=np.uint8)
+def _chunks(seq) -> Iterable[BitSequence]:
+    return [seq] if isinstance(seq, BitSequence) else seq
+
+
+def write_ascii(seq, path) -> None:
+    """Write the bits as '0'/'1' text ended by one newline. seq is one
+    BitSequence, or an iterable of chunks written as they come."""
     with open(path, "wb") as fh:
-        for a in range(0, data.size, _SLAB):
-            text = np.unpackbits(data[a : a + _SLAB])[: seq.n - 8 * a]
-            text |= ord("0")
-            fh.write(text)
+        for chunk in _chunks(seq):
+            data = np.frombuffer(chunk.data, dtype=np.uint8)
+            for a in range(0, data.size, _SLAB):
+                text = np.unpackbits(data[a : a + _SLAB])[: chunk.n - 8 * a]
+                text |= ord("0")
+                fh.write(text)
         fh.write(b"\n")
 
 
-def write_packed(seq: BitSequence, path) -> None:
+def write_packed(seq, path) -> None:
+    """Write the packed bytes; seq as for write_ascii, and only the last
+    chunk may end inside a byte."""
     with open(path, "wb") as fh:
-        fh.write(seq.data)
+        for chunk in _whole_bytes_but_last(_chunks(seq)):
+            fh.write(chunk.data)
 
 
 def stream_ascii(path, chunk_bits: int | None) -> Iterator[BitSequence]:
@@ -163,13 +172,21 @@ def stream_packed(path, chunk_bits: int | None, n: int | None = None) -> Iterato
             n -= take
 
 
+def _whole_bytes_but_last(chunks: Iterable[BitSequence]) -> Iterator[BitSequence]:
+    """The chunks, refusing one that follows a chunk ending inside a byte."""
+    n = 0
+    for c in chunks:
+        if n % 8:
+            raise ValueError("only the last chunk may end inside a byte")
+        n += c.n
+        yield c
+
+
 def concat(chunks: Iterable[BitSequence]) -> BitSequence:
     """Join chunks into one sequence; only the last may end inside a byte.
     Each chunk is written to one buffer as it arrives, so the bits are held once."""
     out, n = io.BytesIO(), 0
-    for c in chunks:
-        if n % 8:
-            raise ValueError("only the last chunk may end inside a byte")
+    for c in _whole_bytes_but_last(chunks):
         out.write(c.data)
         n += c.n
     return BitSequence(out.getvalue(), n)

@@ -24,7 +24,6 @@ from __future__ import annotations
 import math
 import os
 import stat
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import reduce
 
@@ -269,6 +268,8 @@ def count_blocks_parallel(seq: BitSequence, i: int, workers: int | None = None) 
         lo, hi = cuts[s], cuts[s + 1]
         (counts,) = _count_packed(data[lo // 8 :], hi - lo, (i,))
         return BlockCounts(i, counts, (hi - lo) // i)
+
+    from concurrent.futures import ThreadPoolExecutor  # imported here: it adds ~10 ms to every start
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return reduce(merge_counts, pool.map(count, range(workers)))

@@ -7,8 +7,12 @@ Exit codes are the machine contract: 0 = all requested criteria pass,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import itertools
 import json
+import os
+import shutil
 import sys
 
 from . import bayes, bitstream, blockstats, borel, extract, partitions, simgen
@@ -34,10 +38,76 @@ def _count_input(args, levels: int | None):
     return blockstats.stream_level_counts(args.input, args.format, args.bits, levels)
 
 
-def _write(obj, path: str, fmt: str) -> None:
+def _write(chunks, path: str, fmt: str) -> None:
+    """Write a stream of chunks in an output format, each chunk as it is made.
+    The first chunk is made before the output is opened, so a fault in it is
+    reported before one in --out."""
+    chunks = iter(chunks)
+    first = next(chunks, None)
+    chunks = chunks if first is None else itertools.chain([first], chunks)
     # looked up when called, so a writer replaced on its module is the one that runs
     module = extract if fmt.startswith("timetags-") else bitstream
-    getattr(module, "write_" + fmt.replace("-", "_"))(obj, path)
+    with _output(path) as target:
+        getattr(module, "write_" + fmt.replace("-", "_"))(chunks, target)
+
+
+def _in_place(path: str) -> bool:
+    """Whether --out is opened as it is: an existing FIFO, device or other
+    non-regular file, or a path with no file name, which opening refuses."""
+    return not os.path.basename(path) or (os.path.exists(path) and not os.path.isfile(path))
+
+
+def _target(path: str) -> str:
+    """The file that writing --out replaces: through a symlink, as opening it would write."""
+    return os.path.realpath(path) if os.path.islink(path) else path
+
+
+@contextlib.contextmanager
+def _output(path: str):
+    """The file to write for --out. A regular --out gets a temporary file
+    beside it, moved onto it on success and removed on any error, so a failed
+    run leaves no partial output and an existing --out untouched."""
+    if _in_place(path):
+        yield path
+        return
+    real = _target(path)
+    try:
+        mode = os.stat(real).st_mode & 0o7777
+    except FileNotFoundError:
+        mode = None
+    tmp = os.path.join(os.path.dirname(real), f".{os.path.basename(real)}.{os.urandom(6).hex()}")
+    try:
+        # mode 0o666 less the umask, as open(path, "wb") creates a file
+        os.close(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
+    except OSError as exc:  # reported against --out, as opening it would be
+        raise type(exc)(exc.errno, exc.strerror, path) from None
+    try:
+        yield tmp
+        if mode is not None:
+            os.chmod(tmp, mode)
+        os.replace(tmp, real)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
+
+
+def _check_room(path: str, fmt: str, n: int) -> None:
+    """Refuse an output of n bits or time tags whose smallest size exceeds
+    the free space beside a regular --out, before anything is written. The
+    smallest time-tag text is one digit and a newline per tag."""
+    if _in_place(path):
+        return
+    least = {"packed": (n + 7) // 8, "ascii": n + 1, "timetags-text": 2 * n, "timetags-binary": 8 * n}
+    try:
+        free = shutil.disk_usage(os.path.dirname(_target(path)) or ".").free
+    except OSError:
+        return  # a missing directory is reported when --out is opened
+    if least[fmt] > free:
+        raise ValueError(
+            f"--n {n} needs at least {least[fmt]} bytes of {fmt} output, "
+            f"more than the {free} bytes free beside --out"
+        )
 
 
 def _emit_json(obj, path: str | None) -> None:
@@ -114,16 +184,28 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_extract(args) -> int:
-    loader = extract.load_timetags_text if args.format == "text" else extract.load_timetags_binary
-    series = loader(args.input, args.kind)
-    if series.kind == extract.TIMESTAMPS:
-        series = extract.interarrivals(series)
-    if len(series) == 0:
-        raise RandcertError("no time tags in input")
-    seq = extract.timetags_to_bits(series, args.divisor)
-    _write(seq, args.out, args.out_format)
-    ones = blockstats.count_blocks(seq, 1).counts[1]
-    print(f"extracted n = {seq.n} bits, ones fraction = {ones / seq.n:.6f}")
+    n = ones = 0
+    tags = extract.stream_timetags(args.input, args.format, args.kind)
+
+    def bits():
+        nonlocal n, ones
+        for series in tags:
+            if series.kind == extract.TIMESTAMPS:
+                series = extract.interarrivals(series)
+            if len(series) == 0:
+                raise RandcertError("no time tags in input")
+            seq = extract.timetags_to_bits(series, args.divisor)
+            n += seq.n
+            ones += blockstats.count_blocks(seq, 1).counts[1]
+            yield seq
+
+    try:
+        _write(bits(), args.out, args.out_format)
+    except (RandcertError, ValueError, OSError):
+        for _ in tags:  # a fault further on in the input comes first, as when it was read whole
+            pass
+        raise
+    print(f"extracted n = {n} bits, ones fraction = {ones / n:.6f}")
     return EXIT_PASS
 
 
@@ -141,12 +223,13 @@ def cmd_generate(args) -> int:
     )
     timetags = args.out_format.startswith("timetags-")
     if cfg.kind == simgen.DETECTOR:
-        tags, seq = simgen.gen_detector(cfg)
-        out = tags if timetags else seq
+        pieces = simgen.stream_detector(cfg)
+        out = (tags if timetags else bits for tags, bits in pieces)
     elif timetags:
         raise ValueError(f"{cfg.kind} generator emits bits, not time tags")
     else:
-        out = (simgen.gen_bernoulli if cfg.kind == simgen.BERNOULLI else simgen.gen_markov)(cfg)
+        out = (simgen.stream_bernoulli if cfg.kind == simgen.BERNOULLI else simgen.stream_markov)(cfg)
+    _check_room(args.out, args.out_format, cfg.n)
     _write(out, args.out, args.out_format)
     print(f"wrote {args.out} ({cfg.kind}, n = {cfg.n}, seed = {cfg.seed})")
     return EXIT_PASS

@@ -9,8 +9,10 @@ integer divisor that models coarser timing resolution.
 from __future__ import annotations
 
 import functools
+import os
+import stat
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -44,15 +46,18 @@ class TimeTagSeries:
         if self.kind == TIMESTAMPS and vals.size >= 2:
             diffs = np.diff(vals)
             if (diffs < 0).any():
-                idx = int(np.argmax(diffs < 0)) + 1
-                raise DataError(
-                    f"timestamps decrease at index {idx} "
-                    f"({vals[idx - 1]} -> {vals[idx]})",
-                    index=idx,
-                )
+                raise _decrease(vals, int(np.argmax(diffs < 0)) + 1)
 
     def __len__(self) -> int:
         return int(self.values.size)
+
+
+def _decrease(vals: np.ndarray, idx: int, base: int = 0) -> DataError:
+    """The error for vals[idx - 1] > vals[idx], where vals[0] has index base."""
+    return DataError(
+        f"timestamps decrease at index {base + idx} ({vals[idx - 1]} -> {vals[idx]})",
+        index=base + idx,
+    )
 
 
 def interarrivals(series: TimeTagSeries) -> TimeTagSeries:
@@ -75,20 +80,106 @@ def timetags_to_bits(series: TimeTagSeries, divisor: int = 1) -> BitSequence:
     return BitSequence.from_bits(((series.values // divisor) & 1).astype(np.uint8))
 
 
+_READ = 1 << 20  # bytes read at a time; a multiple of 8, so binary reads end between values
+
+
+def stream_timetags(path, fmt: str, kind: str, unit: str = "") -> Iterator[TimeTagSeries]:
+    """Yield the series of a time-tag file ("text" or "binary" fmt) in chunks,
+    reading _READ bytes at a time.
+
+    A timestamps chunk after the first begins with the last timestamp of the
+    chunk before, so each chunk differences on its own. Every chunk but the
+    last adds a multiple of 8 values (of differences, for timestamps), so its
+    parity bits are whole bytes. An input with no values, or with one
+    timestamp, is one chunk of them. A decrease of the timestamps is reported
+    with its index in the whole series, once the rest of the input has been
+    read without a format fault, which comes first as in a whole-file read.
+    """
+    parse = {"text": _text_values, "binary": _binary_values}.get(fmt)
+    if parse is None:
+        raise ValueError(f"time-tag format must be 'text' or 'binary', got {fmt!r}")
+    overlap = int(kind == TIMESTAMPS)
+    held = np.empty(0, dtype=np.int64)  # the overlap, then the values not yet yielded
+    base = 0  # index of held[0] in the whole series
+    fault = None
+    yielded = False
+    with open(path, "rb") as fh:
+        for values in parse(fh):
+            if fault is not None:
+                continue  # read on: a format fault further on is reported first
+            chunk = np.concatenate([held, values])
+            take = (chunk.size - overlap) & ~7
+            if take <= 0:
+                held = chunk
+                continue
+            try:
+                series = _series_at(chunk[: take + overlap], unit, kind, base)
+            except DataError as exc:
+                fault = exc
+                continue
+            held, base, yielded = chunk[take:], base + take, True
+            yield series
+    if fault is not None:
+        raise fault
+    if held.size > overlap or not yielded:
+        yield _series_at(held, unit, kind, base)
+
+
+def _series_at(values: np.ndarray, unit: str, kind: str, base: int) -> TimeTagSeries:
+    """TimeTagSeries(values, unit, kind), with a decrease reported at its
+    index in the whole series, in which values[0] has index base."""
+    try:
+        return TimeTagSeries(values, unit, kind)
+    except DataError as exc:
+        raise _decrease(values, exc.index, base) from None
+
+
+def _joined(chunks: Iterator[TimeTagSeries]) -> TimeTagSeries:
+    """The whole series of a stream_timetags stream."""
+    first = next(chunks)
+    overlap = int(first.kind == TIMESTAMPS)
+    values = np.concatenate([first.values, *(c.values[overlap:] for c in chunks)])
+    return TimeTagSeries(values, first.unit, first.kind)
+
+
 def load_timetags_text(path, kind: str, unit: str = "") -> TimeTagSeries:
     """One tag per line; digit groups may be separated by spaces (e.g.
-    "592 342 ps"); a trailing non-numeric unit token is ignored.
+    "592 342 ps"); a trailing non-numeric unit token is ignored. Drains
+    stream_timetags.
 
-    A plain file, whose every line is one run of 1-18 ASCII digits ended by
-    "\\n" (the last newline may be missing), is checked and parsed in numpy.
-    Any other file, blank lines and CRLF included, goes to the line parser,
-    which gives the same values and reports errors with their line numbers.
+    Each read is cut after its last whole line. A plain run of lines, every
+    one 1-18 ASCII digits ended by "\\n" (the last newline of the file may
+    be missing), is checked and parsed in numpy. Any other run, blank lines
+    and CRLF included, goes to the line parser, which gives the same values
+    and reports errors with their line numbers.
     """
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if _is_plain(raw):
-        return TimeTagSeries(np.fromstring(raw, dtype=np.int64, sep="\n"), unit, kind)
-    return TimeTagSeries(_parse_lines(raw), unit, kind)
+    return _joined(stream_timetags(path, "text", kind, unit))
+
+
+def _text_values(fh) -> Iterator[np.ndarray]:
+    """The values of a text file, one array per read of whole lines."""
+    tail, lineno = [], 0  # the reads since the last whole line, and the lines before them
+    while True:
+        raw = fh.read(_READ)
+        if raw:
+            # a "\r" ending the read may be the first half of a "\r\n"
+            cut = max(raw.rfind(b"\n"), raw.rfind(b"\r", 0, len(raw) - 1)) + 1
+            if not cut:  # joined once a line ends, so a long line is copied once
+                tail.append(raw)
+                continue
+            data, tail = b"".join([*tail, raw[:cut]]), [raw[cut:]]
+        else:
+            data = b"".join(tail)
+        if _is_plain(data):  # one value a line
+            values = np.fromstring(data, dtype=np.int64, sep="\n")
+            lines = values.size
+        else:
+            values = _parse_lines(data, lineno)
+            lines = data.count(b"\n") + data.count(b"\r") - data.count(b"\r\n")
+        yield values
+        if not raw:
+            return
+        lineno += lines
 
 
 _PLAIN_MAX_DIGITS = 18  # 10**18 - 1 < 2**63 - 1, so no plain value overflows int64
@@ -113,11 +204,12 @@ def _is_plain(raw: bytes) -> bool:
     )
 
 
-def _parse_lines(raw: bytes) -> np.ndarray:
+def _parse_lines(raw: bytes, lineno: int = 0) -> np.ndarray:
     """The general parser: one line at a time, any layout the loader accepts.
-    Digits are ASCII only (bytes.isdigit); lines end at "\\n", "\\r\\n" or "\\r"."""
+    Digits are ASCII only (bytes.isdigit); lines end at "\\n", "\\r\\n" or "\\r".
+    lineno lines come before raw, for the line numbers of errors."""
     values = []
-    for lineno, line in enumerate(raw.splitlines(), 1):
+    for lineno, line in enumerate(raw.splitlines(), lineno + 1):
         tokens = line.translate(_STR_WS_TO_SPACE).split()
         if not tokens:
             continue
@@ -141,15 +233,27 @@ def _parse_lines(raw: bytes) -> np.ndarray:
 
 
 def load_timetags_binary(path, kind: str, unit: str = "") -> TimeTagSeries:
-    """64-bit little-endian unsigned integers."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if len(data) % 8:
-        raise FormatError(f"file size {len(data)} bytes is not a multiple of 8")
-    raw = np.frombuffer(data, dtype="<u8")
-    if raw.size and raw.max() > _INT64_MAX:
-        raise FormatError("time value exceeds signed 64-bit range")
-    return TimeTagSeries(raw.astype(np.int64), unit, kind)
+    """64-bit little-endian unsigned integers. Drains stream_timetags."""
+    return _joined(stream_timetags(path, "binary", kind, unit))
+
+
+def _binary_values(fh) -> Iterator[np.ndarray]:
+    """The values of a binary file, one array per read."""
+    st = os.fstat(fh.fileno())
+    if stat.S_ISREG(st.st_mode) and st.st_size % 8:  # known before any value is read
+        raise FormatError(f"file size {st.st_size} bytes is not a multiple of 8")
+    tail, size = b"", 0  # a pipe may return a read that ends inside a value
+    while raw := fh.read(_READ):
+        size += len(raw)
+        data = tail + raw
+        whole = len(data) & ~7
+        tail = data[whole:]
+        u = np.frombuffer(data, dtype="<u8", count=whole // 8)
+        if u.size and u.max() > _INT64_MAX:
+            raise FormatError("time value exceeds signed 64-bit range")
+        yield u.astype(np.int64)
+    if tail:
+        raise FormatError(f"file size {size} bytes is not a multiple of 8")
 
 
 _TEXT_SLAB = 1 << 16  # tags formatted at a time; the whole text is never held
@@ -165,31 +269,40 @@ def _digit_groups() -> np.ndarray:
     return (digits + ord("0")).astype(np.uint8).view(np.uint32).ravel()
 
 
-def write_timetags_text(series: TimeTagSeries, path) -> None:
+def _chunks(series) -> Iterable[TimeTagSeries]:
+    return [series] if isinstance(series, TimeTagSeries) else series
+
+
+def write_timetags_text(series, path) -> None:
     """One decimal value per line, as f"{v}\\n" writes it, formatted in numpy:
     each slab fills a (tags, groups + 1) uint32 matrix with 4-digit groups
     (the last column holds the newline), and a mask keeps each row's digits
-    from its first significant one through the newline."""
+    from its first significant one through the newline. series is one
+    TimeTagSeries, or an iterable of them written as they come."""
     groups = _digit_groups()
     with open(path, "wb") as fh:
-        for a in range(0, len(series), _TEXT_SLAB):
-            v = series.values[a : a + _TEXT_SLAB]
-            width = np.searchsorted(_POW10, v, side="right") + 1  # digits of each value
-            g = -(-int(width.max()) // 4)
-            text = np.empty((v.size, g + 1), dtype=np.uint32)
-            chars = text.view(np.uint8)
-            chars[:, 4 * g] = ord("\n")
-            for k in range(g - 1, -1, -1):
-                v, r = np.divmod(v, 10_000)
-                text[:, k] = groups[r]
-            # row w of keep_by_width keeps w digits and the newline
-            col = np.arange(4 * g + 4)
-            keep_by_width = (col >= 4 * g - np.arange(4 * g + 1)[:, None]) & (col <= 4 * g)
-            fh.write(chars[keep_by_width[width]])
+        for chunk in _chunks(series):
+            for a in range(0, len(chunk), _TEXT_SLAB):
+                v = chunk.values[a : a + _TEXT_SLAB]
+                width = np.searchsorted(_POW10, v, side="right") + 1  # digits of each value
+                g = -(-int(width.max()) // 4)
+                text = np.empty((v.size, g + 1), dtype=np.uint32)
+                chars = text.view(np.uint8)
+                chars[:, 4 * g] = ord("\n")
+                for k in range(g - 1, -1, -1):
+                    v, r = np.divmod(v, 10_000)
+                    text[:, k] = groups[r]
+                # row w of keep_by_width keeps w digits and the newline
+                col = np.arange(4 * g + 4)
+                keep_by_width = (col >= 4 * g - np.arange(4 * g + 1)[:, None]) & (col <= 4 * g)
+                fh.write(chars[keep_by_width[width]])
 
 
-def write_timetags_binary(series: TimeTagSeries, path) -> None:
-    series.values.astype("<u8").tofile(path)
+def write_timetags_binary(series, path) -> None:
+    """64-bit little-endian values; series as for write_timetags_text."""
+    with open(path, "wb") as fh:
+        for chunk in _chunks(series):
+            fh.write(chunk.values.astype("<u8"))
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -24,6 +25,7 @@ DETECTOR = "detector"
 _CHUNK = 1 << 22  # uniforms drawn at a time; a multiple of 8, so the packed chunks concatenate
 _BATCH = 1 << 16  # uniforms per refill of the detector streams; fixes the output bytes
 _PIECE = 1 << 12  # arrivals listed as Python floats at a time
+_EVENTS = 1 << 14  # most events in a piece of stream_detector
 
 
 @dataclass(frozen=True)
@@ -73,18 +75,25 @@ def _uniform_chunks(seed: int, n: int):
         yield _raw_uniforms(bg, min(_CHUNK, n - start))
 
 
+def _expect(cfg: GeneratorConfig, kind: str) -> None:
+    if cfg.kind != kind:
+        raise ValueError(f"config kind is {cfg.kind!r}, expected {kind!r}")
+
+
+def stream_bernoulli(cfg: GeneratorConfig) -> Iterator[BitSequence]:
+    """gen_bernoulli's bits in packed chunks of _CHUNK bits (the last may be short)."""
+    _expect(cfg, BERNOULLI)
+    return (BitSequence.from_bits(u < cfg.theta) for u in _uniform_chunks(cfg.seed, cfg.n))
+
+
 def gen_bernoulli(cfg: GeneratorConfig) -> BitSequence:
     """n i.i.d. bits with P(1) = theta."""
-    if cfg.kind != BERNOULLI:
-        raise ValueError(f"config kind is {cfg.kind!r}, expected {BERNOULLI!r}")
-    return concat(BitSequence.from_bits(u < cfg.theta) for u in _uniform_chunks(cfg.seed, cfg.n))
+    return concat(stream_bernoulli(cfg))
 
 
-def gen_markov(cfg: GeneratorConfig) -> BitSequence:
-    """First-order chain: first bit fair, then repeat the previous bit with
-    probability stay_prob. stay_prob = 1/2 reduces to Bernoulli(1/2)."""
-    if cfg.kind != MARKOV:
-        raise ValueError(f"config kind is {cfg.kind!r}, expected {MARKOV!r}")
+def stream_markov(cfg: GeneratorConfig) -> Iterator[BitSequence]:
+    """gen_markov's bits in packed chunks of _CHUNK bits (the last may be short)."""
+    _expect(cfg, MARKOV)
 
     def chunks():
         prev = np.uint8(0)
@@ -98,28 +107,47 @@ def gen_markov(cfg: GeneratorConfig) -> BitSequence:
             prev = bits[-1]
             yield BitSequence.from_bits(bits)
 
-    return concat(chunks())
+    return chunks()
 
 
-def _copy_out(listed_t, listed_d, times, bits, end) -> None:
-    """Move the listed events, the last of which has index end - 1, into
-    the output arrays."""
-    times[end - len(listed_t) : end] = listed_t
-    bits[end - len(listed_d) : end] = listed_d
-    listed_t.clear()
-    listed_d.clear()
+def gen_markov(cfg: GeneratorConfig) -> BitSequence:
+    """First-order chain: first bit fair, then repeat the previous bit with
+    probability stay_prob. stay_prob = 1/2 reduces to Bernoulli(1/2)."""
+    return concat(stream_markov(cfg))
 
 
-def gen_detector(cfg: GeneratorConfig) -> tuple[TimeTagSeries, BitSequence]:
-    """Two-detector simulation with dead time and after-pulsing.
+def stream_detector(cfg: GeneratorConfig) -> Iterator[tuple[TimeTagSeries, BitSequence]]:
+    """gen_detector's time tags and bits as (tags, bits) pieces of the same
+    events, in order, each of at most _EVENTS events. Every piece but the
+    last holds a multiple of 8 events, so its bits are whole bytes."""
+    _expect(cfg, DETECTOR)
 
-    Poisson arrivals (exponential interarrivals, given mean) are routed to
-    one of two detectors by a fair coin. An arrival within dead_time of the
-    previous recorded event on the same detector is dropped. After every
-    recorded event, with probability afterpulse_prob a spurious event is
-    injected on the same detector after afterpulse_delay. Returns the merged
-    recorded time tags (rounded to integer units) and the detector-identity
-    bits, both of length n.
+    def pieces():
+        runs, size = [], 0
+        for run in _detector_runs(cfg):
+            if runs and size + run[0].size > _EVENTS:
+                yield _piece(runs, cfg)
+                runs, size = [], 0
+            runs.append(run)
+            size += run[0].size
+        if runs:
+            yield _piece(runs, cfg)
+
+    return pieces()
+
+
+def _piece(runs: list, cfg: GeneratorConfig) -> tuple[TimeTagSeries, BitSequence]:
+    """Runs of recorded events joined, their times rounded to integer units."""
+    times = np.rint(np.concatenate([t for t, _ in runs]))
+    if times[-1] >= 2.0**63:  # times never decrease; past 2^63 no int64 holds them
+        raise ValueError(f"n={cfg.n} events at mean_interarrival={cfg.mean_interarrival} pass 2^63")
+    bits = np.concatenate([d for _, d in runs])
+    return TimeTagSeries(times.astype(np.int64), "unit", TIMESTAMPS), BitSequence.from_bits(bits)
+
+
+def _detector_runs(cfg: GeneratorConfig) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The recorded events as runs of (float times, detector bits) arrays;
+    every run but the last holds a multiple of 8 events, at most 2 * _PIECE.
 
     Each arrival refill draws 2 * _BATCH Philox uniforms: interarrivals from
     the first half, detector coins from the second; the clock carries over
@@ -130,18 +158,14 @@ def gen_detector(cfg: GeneratorConfig) -> tuple[TimeTagSeries, BitSequence]:
     the ranks of the events that inject an after-pulse. One loop walks the
     arrivals as Python floats, _PIECE at a time, and merges them with a FIFO
     of pending after-pulses, which pops first on a tie and stays empty
-    without after-pulsing. The recorded events are listed and copied into
-    the output arrays at the end of each piece, or sooner when a run of
-    after-pulses lists more than _PIECE of them.
+    without after-pulsing. The recorded events are listed, and cut into a
+    run once at least _PIECE are listed: at the end of a walk of _PIECE
+    arrivals, or sooner, when a run of after-pulses pops the next one.
     """
-    if cfg.kind != DETECTOR:
-        raise ValueError(f"config kind is {cfg.kind!r}, expected {DETECTOR!r}")
     n, tau, prob, delay = cfg.n, cfg.dead_time, cfg.afterpulse_prob, cfg.afterpulse_delay
-    times = np.empty(n, dtype=np.float64)
-    bits = np.empty(n, dtype=np.uint8)
     arrival_bg = np.random.Philox(key=cfg.seed)
     coin_bg = np.random.Philox(key=cfg.seed + (1 << 64))
-    clock, offset = 0.0, _BATCH  # offset: where the next piece starts in the refill
+    clock, offset = 0.0, _BATCH  # offset: where the next walk starts in the refill
     last = [-math.inf, -math.inf]
     # (time, detector); recorded times never decrease, so neither do the
     # after-pulse times pushed, and a FIFO pops them in time order
@@ -150,8 +174,14 @@ def gen_detector(cfg: GeneratorConfig) -> tuple[TimeTagSeries, BitSequence]:
     # next_spawn is the rank of the next event that injects an after-pulse,
     # or coin_end when no drawn coin is left; -1 never matches
     coin_end, next_spawn = 0, (0 if prob > 0 else -1)
-    listed_t: list[float] = []  # recorded events not yet copied to times / bits
+    listed_t: list[float] = []  # recorded events not yet cut into a run
     listed_d: list[int] = []
+
+    def cut(count: int) -> tuple[np.ndarray, np.ndarray]:
+        run = np.fromiter(listed_t, np.float64, count), np.fromiter(listed_d, np.uint8, count)
+        del listed_t[:count], listed_d[:count]
+        return run
+
     while recorded < n:
         if offset >= _BATCH:
             u = _raw_uniforms(arrival_bg, 2 * _BATCH)
@@ -159,15 +189,16 @@ def gen_detector(cfg: GeneratorConfig) -> tuple[TimeTagSeries, BitSequence]:
             clock = float(arrival_t[-1])
             arrival_d = (u[_BATCH:] < 0.5).view(np.uint8)
             offset = 0
-        piece = slice(offset, offset + _PIECE)
+        walk = slice(offset, offset + _PIECE)
         offset += _PIECE
-        for ta, da in zip(arrival_t[piece].tolist(), arrival_d[piece].tolist()):
+        for ta, da in zip(arrival_t[walk].tolist(), arrival_d[walk].tolist()):
             arrived = False
             while not arrived and recorded < n:
                 if pending and pending[0][0] <= ta:
                     t, det = pending.popleft()
-                    if len(listed_t) >= _PIECE:  # a run of after-pulses outgrows the piece
-                        _copy_out(listed_t, listed_d, times, bits, recorded)
+                    # a run of after-pulses lists _PIECE events before the walk ends
+                    if len(listed_t) >= _PIECE and (whole := len(listed_t) & ~7):
+                        yield cut(whole)
                 else:
                     t, det, arrived = ta, da, True
                 if t - last[det] < tau:
@@ -185,10 +216,29 @@ def gen_detector(cfg: GeneratorConfig) -> tuple[TimeTagSeries, BitSequence]:
                         pending.append((t + delay, det))
                         next_spawn = next(spawns, coin_end)
                 recorded += 1
-        _copy_out(listed_t, listed_d, times, bits, recorded)
-    np.rint(times, out=times)
-    if n and times[-1] >= 2.0**63:  # times never decrease; past 2^63 no int64 holds them
-        raise ValueError(f"n={n} events at mean_interarrival={cfg.mean_interarrival} pass 2^63")
-    stamps = times.astype(np.int64)
-    del times  # freed before the series' diff check, so the float times never meet it
-    return TimeTagSeries(stamps, "unit", TIMESTAMPS), BitSequence.from_bits(bits)
+        if len(listed_t) >= _PIECE and (whole := len(listed_t) & ~7):
+            yield cut(whole)
+    if listed_t:
+        yield cut(len(listed_t))
+
+
+def gen_detector(cfg: GeneratorConfig) -> tuple[TimeTagSeries, BitSequence]:
+    """Two-detector simulation with dead time and after-pulsing.
+
+    Poisson arrivals (exponential interarrivals, given mean) are routed to
+    one of two detectors by a fair coin. An arrival within dead_time of the
+    previous recorded event on the same detector is dropped. After every
+    recorded event, with probability afterpulse_prob a spurious event is
+    injected on the same detector after afterpulse_delay. Returns the merged
+    recorded time tags (rounded to integer units) and the detector-identity
+    bits, both of length n, drained from stream_detector.
+    """
+    stream = stream_detector(cfg)
+    stamps = np.empty(cfg.n, dtype=np.int64)
+    pieces = []
+    end = 0
+    for tags, bits in stream:
+        stamps[end : end + len(tags)] = tags.values
+        end += len(tags)
+        pieces.append(bits)
+    return TimeTagSeries(stamps, "unit", TIMESTAMPS), concat(pieces)

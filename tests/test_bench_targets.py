@@ -120,21 +120,22 @@ def test_direct_call_binds(where, modname, name, positional, keywords):
         pytest.fail(f"{where}: randcert.{modname}.{name} no longer takes this call: {exc}")
 
 
-# every loader and writer the CLI reaches, with a step that reaches it; the
-# traced run replaces each on its module, so the CLI must look it up there
-# when it calls it, not keep a reference taken at import
+# every reader and writer the CLI reaches, and the extraction steps it calls
+# on each chunk, with a step that reaches it; the traced run replaces each on
+# its module, so the CLI must look it up there when it calls it, not keep a
+# reference taken at import
 GENERATE = ["generate", "--n", "64", "--seed", "1", "--out", "{o}", "--kind"]
+EXTRACT = ["extract", "{tags}", "--format", "text", "--kind", "timestamps", "--out", "{o}"]
 REACHED = [
     ("bitstream", "stream_packed", ["analyze", "{packed}", "--format", "packed"]),
     ("bitstream", "stream_ascii", ["analyze", "{ascii}", "--format", "ascii"]),
     ("bitstream", "write_packed", GENERATE + ["markov"]),
     ("bitstream", "write_ascii", GENERATE + ["markov", "--out-format", "ascii"]),
-    (
-        "extract",
-        "load_timetags_text",
-        ["extract", "{tags}", "--format", "text", "--kind", "timestamps", "--out", "{o}"],
-    ),
+    ("extract", "stream_timetags", EXTRACT),
+    ("extract", "interarrivals", EXTRACT),
+    ("extract", "timetags_to_bits", EXTRACT),
     ("extract", "write_timetags_text", GENERATE + ["detector", "--out-format", "timetags-text"]),
+    ("extract", "write_timetags_binary", GENERATE + ["detector", "--out-format", "timetags-binary"]),
 ]
 
 

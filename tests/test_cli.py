@@ -2,16 +2,19 @@ import hashlib
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import randcert
-from randcert import bitstream, blockstats, simgen
+from randcert import bitstream, blockstats, extract, simgen
 from randcert.cli import EXIT_ERROR, EXIT_FAIL, EXIT_PASS, main
 
 from conftest import bits_from_string
@@ -266,6 +269,7 @@ class TestExtract:
             ("text", b"100\n200\n\xd9\xa3\xd9\xa3\xd9\xa3\n", "line 3: no number found"),
             ("text", "100\n2\u00b2\n".encode(), "line 2: no number found"),
             ("text", b"100\n\xff\n", "line 2: no number found"),
+            ("binary", b"\xff" * 8 + b"\x01\x02\x03", "file size 11 bytes"),
         ],
         ids=[
             "text-beyond-int64",
@@ -273,6 +277,7 @@ class TestExtract:
             "text-arabic-indic-three",
             "text-superscript-two",
             "text-non-utf8-byte",
+            "binary-truncated-beyond-int64",
         ],
     )
     def test_bad_input_is_usage_error(self, tmp_path, capsys, fmt, data, error):
@@ -283,6 +288,65 @@ class TestExtract:
         assert rc == EXIT_ERROR
         assert not out.exists()
         assert capsys.readouterr().err.startswith(f"error: {error}")
+
+    @pytest.mark.parametrize("existing", [None, b"old bits"], ids=["new", "existing"])
+    def test_fault_after_written_chunks_leaves_out_as_it_was(
+        self, tmp_path, monkeypatch, capsys, existing
+    ):
+        # 64-byte reads: the bits of many chunks are written before line 201 is read
+        src = tmp_path / "tags.txt"
+        src.write_text("".join(f"{100 * k}\n" for k in range(200)) + "x\n")
+        out = tmp_path / "bits"
+        if existing is not None:
+            out.write_bytes(existing)
+        monkeypatch.setattr(extract, "_READ", 64)
+        argv = ["extract", str(src), "--format", "text", "--kind", "timestamps", "--out", str(out)]
+        assert main(argv) == EXIT_ERROR
+        assert capsys.readouterr().err == "error: line 201: no number found in 'x'\n"
+        assert (out.read_bytes() if out.exists() else None) == existing
+        assert len(list(tmp_path.iterdir())) == 1 + (existing is not None)  # no temporary file
+
+
+class TestOutput:
+    def test_regular_out_keeps_its_mode_and_symlink(self, tmp_path):
+        target, link = tmp_path / "target.bin", tmp_path / "link.bin"
+        target.write_bytes(b"old")
+        target.chmod(0o640)
+        link.symlink_to(target)
+        argv = ["generate", "--kind", "markov", "--n", "64", "--seed", "1", "--out", str(link)]
+        assert main(argv) == EXIT_PASS
+        assert link.is_symlink() and target.stat().st_size == 8
+        assert target.stat().st_mode & 0o777 == 0o640
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.bin", "target.bin"]
+
+    @pytest.mark.parametrize("out", ["", "missing/", "missing/../x"])
+    def test_out_that_cannot_be_opened_is_reported_as_opening_it(
+        self, tmp_path, monkeypatch, capsys, out
+    ):
+        monkeypatch.chdir(tmp_path)
+        argv = ["generate", "--kind", "markov", "--n", "64", "--seed", "1", "--out", out]
+        assert main(argv) == EXIT_ERROR
+        with pytest.raises(OSError) as exc:
+            open(out, "wb")
+        assert capsys.readouterr().err == f"error: {exc.value}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_fifo_out_is_written_in_place(self, tmp_path):
+        regular, fifo = tmp_path / "regular.txt", tmp_path / "fifo"
+        argv = ["generate", "--kind", "detector", "--n", "5000", "--seed", "2"]
+        argv += ["--out-format", "timetags-text", "--out"]
+        assert main(argv + [str(regular)]) == EXIT_PASS
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()))
+        reader.start()
+        try:
+            assert main(argv + [str(fifo)]) == EXIT_PASS
+        finally:
+            reader.join(timeout=60)
+        assert not reader.is_alive()
+        assert got == [regular.read_bytes()]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["fifo", "regular.txt"]
 
 
 class TestGenerate:
@@ -342,12 +406,39 @@ class TestGenerate:
         assert not out.exists()
 
     def test_refused_allocation_is_usage_error(self, tmp_path, capsys):
-        # the detector's first output array would take 7.11 PiB; numpy refuses it at once
+        # the text of 10^15 time tags takes at least 2 PB, more than a disk has free
         out = tmp_path / "x.txt"
         argv = ["generate", "--kind", "detector", "--n", "1000000000000000", "--seed", "1"]
         assert main(argv + ["--out", str(out), "--out-format", "timetags-text"]) == EXIT_ERROR
-        assert capsys.readouterr().err.startswith("error: Unable to allocate")
+        err = capsys.readouterr().err
+        assert err.startswith("error: --n 1000000000000000 needs at least 2000000000000000 bytes")
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "fmt, n, least",
+        [("packed", 801, 101), ("ascii", 100, 101)],
+    )
+    def test_output_larger_than_free_space_is_refused(
+        self, tmp_path, capsys, monkeypatch, fmt, n, least
+    ):
+        free = least - 1
+        monkeypatch.setattr(shutil, "disk_usage", lambda path: SimpleNamespace(free=free))
+        out = tmp_path / "x"
+        argv = ["generate", "--kind", "bernoulli", "--n", str(n), "--seed", "1"]
+        argv += ["--out-format", fmt, "--out", str(out)]
+        assert main(argv) == EXIT_ERROR
+        assert capsys.readouterr().err == (
+            f"error: --n {n} needs at least {least} bytes of {fmt} output, "
+            f"more than the {free} bytes free beside --out\n"
+        )
+        assert not out.exists()
+        argv[argv.index("--n") + 1] = str(n - 1)  # one byte less fits
+        assert main(argv) == EXIT_PASS
+        assert out.stat().st_size == least - 1
+        # a device is written in place, with no room check
+        argv[argv.index("--out") + 1] = os.devnull
+        argv[argv.index("--n") + 1] = str(n)
+        assert main(argv) == EXIT_PASS
 
     @pytest.mark.parametrize("seed", [-1, 2**128, 2**128 - 2**64])
     def test_seed_outside_philox_keys_is_usage_error(self, tmp_path, capsys, seed):
@@ -574,8 +665,10 @@ def test_usage_error_exit_code():
     assert main([]) == EXIT_ERROR
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    code = "import sys, randcert.cli; print('scipy' in sys.modules)"
+def test_cli_import_leaves_slow_modules_unloaded():
+    # scipy is most of a start's import time, and concurrent.futures about 10 ms
+    # of it; each is imported by the one function that needs it
+    code = "import sys, randcert.cli; print('scipy' in sys.modules, 'concurrent.futures' in sys.modules)"
     src = str(Path(randcert.__file__).parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     out = subprocess.run(
@@ -585,4 +678,4 @@ def test_cli_import_leaves_scipy_unloaded():
         check=True,
         env={**os.environ, "PYTHONPATH": path},
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.split() == ["False", "False"]

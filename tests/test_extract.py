@@ -1,7 +1,10 @@
+import contextlib
+import io
 import math
 import re
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from randcert import extract
+from randcert.cli import EXIT_ERROR, main
 from randcert.errors import DataError, FormatError
 from randcert.extract import (
     DensitySpec,
@@ -272,6 +276,120 @@ def test_text_fast_path_matches_line_parser(tmp_path_factory, raw):
     assert got == _outcome(lambda q: extract._parse_lines(q.read_bytes()), p)
     plain = re.fullmatch(rb"(?:[0-9]{1,18}\n)*(?:[0-9]{1,18})?", raw)
     assert extract._is_plain(raw) == bool(plain)
+
+
+def _rising(draw, top: int) -> list[int]:
+    """Up to 40 non-decreasing values, with one decrease at any index half the time."""
+    size = draw(st.integers(0, 40))
+    values = sorted(draw(st.lists(st.integers(0, top), min_size=size, max_size=size)))
+    k = draw(st.integers(0, len(values)))
+    if 0 < k < len(values) and values[k - 1] > 0 and draw(st.booleans()):
+        values[k] = values[k - 1] - 1
+    return values
+
+
+@st.composite
+def rising_text_files(draw):
+    """Timestamps in every layout the line parser accepts: digit groups, unit
+    tokens, blank lines, CRLF and lone CR line ends; now and then one line
+    the parser refuses, before or after a decrease."""
+
+    def layout(v):
+        digits = str(v)
+        if draw(st.booleans()):  # "592 342" digit groups
+            head = len(digits) % 3 or 3
+            digits = " ".join([digits[:head]] + [digits[k : k + 3] for k in range(head, len(digits), 3)])
+        return draw(st.sampled_from(["", " ", "\t"])) + digits + draw(st.sampled_from(["", " ps", " ns"]))
+
+    lines = [layout(v) for v in _rising(draw, 10**12)]
+    for _ in range(draw(st.integers(0, 3))):  # blank lines
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", " "])))
+    if draw(st.integers(0, 3)) == 0:
+        bad = draw(st.sampled_from(["x1", "5 ps 6", "9223372036854775808"]))
+        lines.insert(draw(st.integers(0, len(lines))), bad)
+    ends = st.sampled_from(["\n", "\n", "\r\n", "\r"])
+    raw = "".join(line + draw(ends) for line in lines).encode()
+    if raw and draw(st.booleans()):
+        raw = raw[:-1]
+    return raw
+
+
+@st.composite
+def binary_files(draw):
+    """64-bit tags as for rising_text_files; now and then one at or past 2^63,
+    or a size that is not a multiple of 8."""
+    values = _rising(draw, 2**62)
+    if values and draw(st.integers(0, 5)) == 0:
+        values[draw(st.integers(0, len(values) - 1))] = draw(st.integers(2**63 - 1, 2**64 - 1))
+    raw = np.array(values, dtype="<u8").tobytes()
+    return raw + draw(st.sampled_from([b""] * 6 + [b"\x01", b"\x01\x02\x03"]))
+
+
+def _extract(src, fmt, kind, divisor, out):
+    """Exit code, stdout, stderr and output bytes of one extract run."""
+    argv = ["extract", str(src), "--format", fmt, "--kind", kind, "--divisor", str(divisor)]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(argv + ["--out", str(out)])
+    bits = out.read_bytes() if out.exists() else None
+    out.unlink(missing_ok=True)
+    return code, stdout.getvalue(), stderr.getvalue(), bits
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    case=st.one_of(
+        st.tuples(st.just("text"), st.one_of(timetag_files(), rising_text_files())),
+        st.tuples(st.just("binary"), binary_files()),
+    ),
+    kind=st.sampled_from(["timestamps", "interarrivals"]),
+    divisor=st.sampled_from([1, 3, 2**63 - 1]),
+    read=st.integers(1, 48),
+)
+def test_chunked_extraction_matches_whole_file(tmp_path_factory, case, kind, divisor, read):
+    """Reads of a few bytes cut lines, CRLFs, values and decreases across
+    chunks; the bits, the ones fraction, or the error text, stay those of
+    one whole-file read (inputs here are far below the default read size)."""
+    fmt, raw = case
+    src = tmp_path_factory.getbasetemp() / "fuzz-extract-in"
+    out = tmp_path_factory.getbasetemp() / "fuzz-extract-out"
+    src.write_bytes(raw)
+    whole = _extract(src, fmt, kind, divisor, out)
+    with mock.patch.object(extract, "_READ", read):
+        assert _extract(src, fmt, kind, divisor, out) == whole
+    code, _, err, bits = whole
+    assert (code == EXIT_ERROR) == (bits is None) == err.startswith("error: ")
+    if code != EXIT_ERROR and fmt == "text":
+        values = extract._parse_lines(raw)
+        gaps = np.diff(values) if kind == "timestamps" else values
+        assert bits == np.packbits((gaps // divisor) & 1).tobytes()
+
+
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_generate_and_extract_memory_is_flat_in_n(tmp_path):
+    """generate and extract hold a chunk at a time, not the run: their peaks
+    at 2^20 tags (11 MiB of text) equal those at 2^18 tags."""
+    peaks = {"generate": [], "extract": []}
+    for tags in ((1 << 18) + 1, (1 << 20) + 1):
+        text, bits = tmp_path / f"{tags}.txt", tmp_path / f"{tags}.bin"
+        generate = ["generate", "--kind", "detector", "--n", str(tags), "--seed", "3"]
+        generate += ["--afterpulse-prob", "0.05", "--out-format", "timetags-text", "--out", str(text)]
+        extract_ = ["extract", str(text), "--format", "text", "--kind", "timestamps", "--out", str(bits)]
+        for step, argv in (("generate", generate), ("extract", extract_)):
+            with contextlib.redirect_stdout(io.StringIO()):
+                peaks[step].append(_traced_peak(lambda: main(argv)))
+        assert bits.stat().st_size == (tags - 1) // 8
+    for step, (small, large) in peaks.items():
+        assert large <= 1.1 * small, (step, small, large)
+        assert large < 10 << 20, (step, large)  # a few 1 MiB reads and their values
 
 
 def truncated_exponential(rate=1.0, a=0.0, b=10.0):

@@ -208,8 +208,8 @@ class TestDetector:
     ids=["bench", "always-afterpulse"],
 )
 def test_detector_memory_per_event(defects):
-    """The int64 tags, their diff check and the bits take about 17 bytes an
-    event, and the peak reads 21. Keeping the float times alive beside them
+    """The int64 tags, their diff check and the packed bits take about 17
+    bytes an event, and the peak reads 18. Keeping the float times alive beside them
     reads 28, listing every event as Python floats until the end reads 54,
     and drawing all n after-pulse ranks up front reads 57 at
     afterpulse_prob = 1."""
@@ -224,22 +224,18 @@ def test_detector_memory_per_event(defects):
 
 
 @pytest.mark.parametrize("delay", [0.0, 75.0])
-def test_after_pulse_runs_are_copied_out_early(monkeypatch, delay):
+def test_after_pulse_runs_are_copied_out_early(delay):
     """At afterpulse_prob = 1 one arrival starts an endless run of after-pulses
     (with delay 0, all n events come from the first arrival); the events
-    listed at any time stay within two pieces."""
-    sizes = []
-    copy_out = simgen._copy_out
-
-    def spy(listed_t, *args):
-        sizes.append(len(listed_t))
-        copy_out(listed_t, *args)
-
-    monkeypatch.setattr(simgen, "_copy_out", spy)
+    listed at any time stay within two walks, the pieces yielded within
+    _EVENTS, and every run and piece but the last holds whole bytes of bits."""
     n = 1 << 17
-    gen_detector(GeneratorConfig("detector", n, 3, afterpulse_prob=1.0, afterpulse_delay=delay))
-    assert sum(sizes) == n
-    assert max(sizes) <= 2 * simgen._PIECE
+    cfg = GeneratorConfig("detector", n, 3, afterpulse_prob=1.0, afterpulse_delay=delay)
+    runs = [times.size for times, _ in simgen._detector_runs(cfg)]
+    pieces = [len(tags) for tags, _ in simgen.stream_detector(cfg)]
+    assert sum(runs) == sum(pieces) == n
+    assert max(runs) <= 2 * simgen._PIECE and max(pieces) <= simgen._EVENTS
+    assert all(size % 8 == 0 for size in runs[:-1] + pieces[:-1])
 
 
 def _uniforms(seed: int):
@@ -352,11 +348,20 @@ def detector_configs(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(cfg=detector_configs(), batch=st.sampled_from([1, 3, 16, 64]), piece=st.integers(1, 40))
-def test_flat_loop_matches_generator_loop(cfg, batch, piece):
-    """Small refills and pieces cross every refill, piece and early-copy
-    boundary many times; both sides draw with the same patched refill size."""
-    with mock.patch.object(simgen, "_BATCH", batch), mock.patch.object(simgen, "_PIECE", piece):
+@given(
+    cfg=detector_configs(),
+    batch=st.sampled_from([1, 3, 16, 64]),
+    piece=st.integers(1, 40),
+    events=st.sampled_from([8, 24, 1 << 14]),
+)
+def test_flat_loop_matches_generator_loop(cfg, batch, piece, events):
+    """Small refills, walks and pieces cross every refill, walk, early-cut and
+    piece boundary many times; both sides draw with the same patched refill size."""
+    with (
+        mock.patch.object(simgen, "_BATCH", batch),
+        mock.patch.object(simgen, "_PIECE", piece),
+        mock.patch.object(simgen, "_EVENTS", events),
+    ):
         tags, bits = gen_detector(cfg)
         ref_tags, ref_bits = _reference_detector(cfg)
     assert _output(tags, bits) == _output(ref_tags, ref_bits)
