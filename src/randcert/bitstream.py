@@ -8,7 +8,6 @@ two sequences are equal iff their (n, storage) pairs are equal.
 from __future__ import annotations
 
 import io
-import os
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -101,15 +100,16 @@ def load_packed(path, n: int | None = None) -> BitSequence:
     return chunks[0] if chunks else BitSequence(b"", 0)
 
 
-def _chunks(seq) -> Iterable[BitSequence]:
-    return [seq] if isinstance(seq, BitSequence) else seq
+def _chunks(obj, cls) -> Iterable:
+    """obj as an iterable of chunks: one cls object is a stream of one chunk."""
+    return [obj] if isinstance(obj, cls) else obj
 
 
 def write_ascii(seq, path) -> None:
     """Write the bits as '0'/'1' text ended by one newline. seq is one
     BitSequence, or an iterable of chunks written as they come."""
     with open(path, "wb") as fh:
-        for chunk in _chunks(seq):
+        for chunk in _chunks(seq, BitSequence):
             data = np.frombuffer(chunk.data, dtype=np.uint8)
             for a in range(0, data.size, _SLAB):
                 text = np.unpackbits(data[a : a + _SLAB])[: chunk.n - 8 * a]
@@ -122,16 +122,15 @@ def write_packed(seq, path) -> None:
     """Write the packed bytes; seq as for write_ascii, and only the last
     chunk may end inside a byte."""
     with open(path, "wb") as fh:
-        for chunk in _whole_bytes_but_last(_chunks(seq)):
+        for chunk in _whole_bytes_but_last(_chunks(seq, BitSequence)):
             fh.write(chunk.data)
 
 
-def stream_ascii(path, chunk_bits: int | None) -> Iterator[BitSequence]:
+def stream_ascii(path, chunk_bits: int) -> Iterator[BitSequence]:
     """Yield chunks of exactly chunk_bits bits (the last may be short) from a
-    '0'/'1' text file, or None for one chunk of every bit. chunk_bits must be
-    a multiple of 8, and of the block length when per-chunk block counts are
-    to be merged."""
-    if chunk_bits is not None and (chunk_bits <= 0 or chunk_bits % 8):
+    '0'/'1' text file. chunk_bits must be a multiple of 8, and of the block
+    length when per-chunk block counts are to be merged."""
+    if chunk_bits <= 0 or chunk_bits % 8:
         raise ValueError("chunk_bits must be a positive multiple of 8")
     packed = bytearray()
     loose = np.empty(0, dtype=np.uint8)  # the fewer than 8 bits not yet packed
@@ -143,7 +142,7 @@ def stream_ascii(path, chunk_bits: int | None) -> Iterator[BitSequence]:
             whole = bits.size - bits.size % 8
             packed += np.packbits(bits[:whole]).tobytes()
             loose = bits[whole:]
-            while chunk_bits is not None and 8 * len(packed) >= chunk_bits:
+            while 8 * len(packed) >= chunk_bits:
                 yield BitSequence(bytes(memoryview(packed)[: chunk_bits // 8]), chunk_bits)
                 del packed[: chunk_bits // 8]
     tail = 8 * len(packed) + loose.size
@@ -153,23 +152,29 @@ def stream_ascii(path, chunk_bits: int | None) -> Iterator[BitSequence]:
 
 def stream_packed(path, chunk_bits: int | None, n: int | None = None) -> Iterator[BitSequence]:
     """Yield chunks of chunk_bits bits (the last may be short) from a packed
-    file; chunk_bits is a multiple of 8, or None for one chunk of every bit.
-    The one place that resolves and checks a packed n."""
+    file, read in order up to bit n or to its end; chunk_bits is a multiple
+    of 8, or None for one read of every bit. The one place that resolves and
+    checks a packed n: an n past the end is refused when the input ends, so a
+    pipe is read as a file is."""
     if chunk_bits is not None and (chunk_bits <= 0 or chunk_bits % 8):
         raise ValueError("chunk_bits must be a positive multiple of 8")
+    if n is not None and n < 0:
+        raise ValueError(f"requested n={n} is negative")
+    done = 0  # bits yielded
     with open(path, "rb") as fh:
-        src = fh if fh.seekable() else io.BytesIO(fh.read())  # a pipe's size shows once drained
-        size_bits = 8 * src.seek(0, os.SEEK_END)
-        src.seek(0)
-        n = size_bits if n is None else n
-        if n < 0:
-            raise ValueError(f"requested n={n} is negative")
-        if n > size_bits:
-            raise ValueError(f"requested n={n} but file holds only {size_bits} bits")
-        while n > 0:  # n counts the bits still to yield
-            take = n if chunk_bits is None else min(chunk_bits, n)
-            yield BitSequence.from_bytes(src.read((take + 7) // 8), take)
-            n -= take
+        while n is None or done < n:
+            want = None if n is None else (n - done + 7) // 8  # bytes; None reads to the end
+            if chunk_bits is not None:
+                want = chunk_bits // 8 if want is None else min(want, chunk_bits // 8)
+            data = fh.read(want)  # short only at the end of the input
+            if n is not None and len(data) < want:
+                raise ValueError(f"requested n={n} but file holds only {done + 8 * len(data)} bits")
+            if not data:
+                return
+            take = 8 * len(data) if n is None else min(8 * len(data), n - done)
+            done += take
+            yield BitSequence.from_bytes(data, take)
+            del data  # freed before the next read, so one chunk is held at a time
 
 
 def _whole_bytes_but_last(chunks: Iterable[BitSequence]) -> Iterator[BitSequence]:

@@ -211,32 +211,29 @@ def stream_level_counts(
 
     The levels are fixed before the first chunk, from an upper bound on n:
     the requested n, or 8 bits a byte of a packed file, or 1 bit a byte of
-    an ASCII file; levels above i_max of the n read are dropped at the end.
-    Each chunk is _CHUNK_BITS rounded down to whole periods of
-    lcm(8, 1..top) bits, so no block spans two chunks and the chunks'
-    counts sum to the whole file's. A pipe has no size until it is drained,
-    so it is read as one chunk whose n fixes the levels.
+    an ASCII file; an input with no size, such as a pipe, is counted up to
+    level 5, the highest i_max of any n < 2^64. Levels above i_max of the n
+    read are dropped at the end. Each chunk is _CHUNK_BITS rounded down to
+    whole periods of lcm(8, 1..top) bits, so no block spans two chunks and
+    the chunks' counts sum to the whole file's.
     """
     if fmt != "packed" and n is not None:
         raise ValueError("n applies to packed input only")
     bound = n
     if n is None:
         info = os.stat(path)
-        if stat.S_ISREG(info.st_mode):  # a pipe has no size until it is drained
+        bound = (1 << 64) - 1  # no size, as of a pipe: fewer than 2^64 bits
+        if stat.S_ISREG(info.st_mode):
             bound = 8 * info.st_size if fmt == "packed" else info.st_size
-    top = chunk_bits = None
-    if bound is not None:
-        top = _top_level(bound, levels)
-        period = math.lcm(8, *range(1, top + 1))
-        chunk_bits = period * max(1, _CHUNK_BITS // period)
+    top = _top_level(bound, levels)
+    period = math.lcm(8, *range(1, top + 1))
+    chunk_bits = period * max(1, _CHUNK_BITS // period)
     if fmt == "packed":
         chunks = bitstream.stream_packed(path, chunk_bits, n)
     else:
         chunks = bitstream.stream_ascii(path, chunk_bits)
     total, sums = 0, []
     for chunk in chunks:
-        if top is None:  # the one chunk of a pipe
-            top = _top_level(chunk.n, levels)
         data = np.frombuffer(chunk.data, dtype=np.uint8)
         counts = _count_packed(data, chunk.n, tuple(range(1, top + 1)))
         sums = counts if not total else [a + b for a, b in zip(sums, counts)]

@@ -9,14 +9,12 @@ integer divisor that models coarser timing resolution.
 from __future__ import annotations
 
 import functools
-import os
-import stat
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
-from .bitstream import BitSequence
+from .bitstream import BitSequence, _chunks
 from .errors import DataError, FormatError, NumericError
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
@@ -81,6 +79,9 @@ def timetags_to_bits(series: TimeTagSeries, divisor: int = 1) -> BitSequence:
 
 
 _READ = 1 << 20  # bytes read at a time; a multiple of 8, so binary reads end between values
+# bytes in the longest time-tag line accepted, which is held whole before it
+# is parsed; _READ is no larger, so only a line that spans reads can pass it
+_MAX_LINE = 1 << 20
 
 
 def stream_timetags(path, fmt: str, kind: str, unit: str = "") -> Iterator[TimeTagSeries]:
@@ -157,19 +158,25 @@ def load_timetags_text(path, kind: str, unit: str = "") -> TimeTagSeries:
 
 
 def _text_values(fh) -> Iterator[np.ndarray]:
-    """The values of a text file, one array per read of whole lines."""
-    tail, lineno = [], 0  # the reads since the last whole line, and the lines before them
+    """The values of a text file, one array per read of whole lines. A line
+    longer than _MAX_LINE bytes is refused before it is joined."""
+    # the reads since the last line end, their bytes, and the lines before them
+    tail, held, lineno = [], 0, 0
+    after_cr = False  # whether the last line cut ended in "\r", whose "\n" may begin this read
     while True:
         raw = fh.read(_READ)
-        if raw:
-            # a "\r" ending the read may be the first half of a "\r\n"
-            cut = max(raw.rfind(b"\n"), raw.rfind(b"\r", 0, len(raw) - 1)) + 1
-            if not cut:  # joined once a line ends, so a long line is copied once
-                tail.append(raw)
-                continue
-            data, tail = b"".join([*tail, raw[:cut]]), [raw[cut:]]
-        else:
-            data = b"".join(tail)
+        first = min((k for k in (raw.find(b"\n"), raw.find(b"\r")) if k >= 0), default=len(raw))
+        if held + first > _MAX_LINE:
+            raise FormatError(f"line {lineno + 1}: longer than {_MAX_LINE} bytes")
+        if raw and first == len(raw):  # joined once the line ends, so a long line is copied once
+            tail.append(raw)
+            held += len(raw)
+            continue
+        cut = max(raw.rfind(b"\n"), raw.rfind(b"\r")) + 1
+        data, tail, held = b"".join([*tail, raw[:cut]]), [raw[cut:]], len(raw) - cut
+        if after_cr and data.startswith(b"\n"):  # the end of a "\r\n" split by the cut
+            lineno -= 1
+        after_cr = data.endswith(b"\r")
         if _is_plain(data):  # one value a line
             values = np.fromstring(data, dtype=np.int64, sep="\n")
             lines = values.size
@@ -238,22 +245,24 @@ def load_timetags_binary(path, kind: str, unit: str = "") -> TimeTagSeries:
 
 
 def _binary_values(fh) -> Iterator[np.ndarray]:
-    """The values of a binary file, one array per read."""
-    st = os.fstat(fh.fileno())
-    if stat.S_ISREG(st.st_mode) and st.st_size % 8:  # known before any value is read
-        raise FormatError(f"file size {st.st_size} bytes is not a multiple of 8")
-    tail, size = b"", 0  # a pipe may return a read that ends inside a value
+    """The values of a binary file, one array per read. A value past 2^63 - 1
+    is reported once the input has ended, so a size that is not a multiple
+    of 8 comes first, from a pipe as from a file."""
+    tail, size, fault = b"", 0, None  # a pipe may return a read that ends inside a value
     while raw := fh.read(_READ):
         size += len(raw)
         data = tail + raw
         whole = len(data) & ~7
         tail = data[whole:]
         u = np.frombuffer(data, dtype="<u8", count=whole // 8)
-        if u.size and u.max() > _INT64_MAX:
-            raise FormatError("time value exceeds signed 64-bit range")
-        yield u.astype(np.int64)
+        if fault is None and u.size and u.max() > _INT64_MAX:
+            fault = FormatError("time value exceeds signed 64-bit range")
+        if fault is None:
+            yield u.astype(np.int64)
     if tail:
         raise FormatError(f"file size {size} bytes is not a multiple of 8")
+    if fault is not None:
+        raise fault
 
 
 _TEXT_SLAB = 1 << 16  # tags formatted at a time; the whole text is never held
@@ -269,10 +278,6 @@ def _digit_groups() -> np.ndarray:
     return (digits + ord("0")).astype(np.uint8).view(np.uint32).ravel()
 
 
-def _chunks(series) -> Iterable[TimeTagSeries]:
-    return [series] if isinstance(series, TimeTagSeries) else series
-
-
 def write_timetags_text(series, path) -> None:
     """One decimal value per line, as f"{v}\\n" writes it, formatted in numpy:
     each slab fills a (tags, groups + 1) uint32 matrix with 4-digit groups
@@ -281,7 +286,7 @@ def write_timetags_text(series, path) -> None:
     TimeTagSeries, or an iterable of them written as they come."""
     groups = _digit_groups()
     with open(path, "wb") as fh:
-        for chunk in _chunks(series):
+        for chunk in _chunks(series, TimeTagSeries):
             for a in range(0, len(chunk), _TEXT_SLAB):
                 v = chunk.values[a : a + _TEXT_SLAB]
                 width = np.searchsorted(_POW10, v, side="right") + 1  # digits of each value
@@ -301,7 +306,7 @@ def write_timetags_text(series, path) -> None:
 def write_timetags_binary(series, path) -> None:
     """64-bit little-endian values; series as for write_timetags_text."""
     with open(path, "wb") as fh:
-        for chunk in _chunks(series):
+        for chunk in _chunks(series, TimeTagSeries):
             fh.write(chunk.values.astype("<u8"))
 
 

@@ -25,7 +25,6 @@ DETECTOR = "detector"
 _CHUNK = 1 << 22  # uniforms drawn at a time; a multiple of 8, so the packed chunks concatenate
 _BATCH = 1 << 16  # uniforms per refill of the detector streams; fixes the output bytes
 _PIECE = 1 << 12  # arrivals listed as Python floats at a time
-_EVENTS = 1 << 14  # most events in a piece of stream_detector
 
 
 @dataclass(frozen=True)
@@ -118,30 +117,20 @@ def gen_markov(cfg: GeneratorConfig) -> BitSequence:
 
 def stream_detector(cfg: GeneratorConfig) -> Iterator[tuple[TimeTagSeries, BitSequence]]:
     """gen_detector's time tags and bits as (tags, bits) pieces of the same
-    events, in order, each of at most _EVENTS events. Every piece but the
-    last holds a multiple of 8 events, so its bits are whole bytes."""
+    events, in order: one piece a run of _detector_runs, so at most
+    2 * _PIECE events, and every piece but the last holds a multiple of 8
+    events, so its bits are whole bytes."""
     _expect(cfg, DETECTOR)
-
-    def pieces():
-        runs, size = [], 0
-        for run in _detector_runs(cfg):
-            if runs and size + run[0].size > _EVENTS:
-                yield _piece(runs, cfg)
-                runs, size = [], 0
-            runs.append(run)
-            size += run[0].size
-        if runs:
-            yield _piece(runs, cfg)
-
-    return pieces()
+    return (_piece(times, bits, cfg) for times, bits in _detector_runs(cfg))
 
 
-def _piece(runs: list, cfg: GeneratorConfig) -> tuple[TimeTagSeries, BitSequence]:
-    """Runs of recorded events joined, their times rounded to integer units."""
-    times = np.rint(np.concatenate([t for t, _ in runs]))
+def _piece(
+    times: np.ndarray, bits: np.ndarray, cfg: GeneratorConfig
+) -> tuple[TimeTagSeries, BitSequence]:
+    """A run of recorded events, its times rounded to integer units."""
+    times = np.rint(times)
     if times[-1] >= 2.0**63:  # times never decrease; past 2^63 no int64 holds them
         raise ValueError(f"n={cfg.n} events at mean_interarrival={cfg.mean_interarrival} pass 2^63")
-    bits = np.concatenate([d for _, d in runs])
     return TimeTagSeries(times.astype(np.int64), "unit", TIMESTAMPS), BitSequence.from_bits(bits)
 
 

@@ -116,7 +116,8 @@ class TestLoadPacked:
         assert bitstream.load_packed(p, 12).data == bytes([0xAB, 0xC0])
 
     def test_pipe_is_read_whole(self):
-        # a pipe has no size until it is drained; /dev/fd names its read end
+        """A pipe, which has no size, is read in order as a file is; /dev/fd
+        names its read end."""
         r, w = os.pipe()
         try:
             os.write(w, b"\xab\xcd\xef")
@@ -124,6 +125,34 @@ class TestLoadPacked:
             assert bitstream.load_packed(f"/dev/fd/{r}", 20) == BitSequence(b"\xab\xcd\xe0", 20)
         finally:
             os.close(r)
+
+    @pytest.mark.parametrize("pipe", [False, True], ids=["file", "pipe"])
+    @pytest.mark.parametrize(
+        "read",
+        [
+            lambda p: bitstream.load_packed(p, 25),
+            lambda p: list(bitstream.stream_packed(p, 8, 25)),
+        ],
+        ids=["load", "stream"],
+    )
+    def test_n_past_the_end_is_refused(self, tmp_path, pipe, read):
+        """An n past the end is refused when the input ends, with the file's
+        bit count, from a pipe as from a file."""
+        raw = b"\xab\xcd\xef"
+        if not pipe:
+            (tmp_path / "p.bin").write_bytes(raw)
+            path = tmp_path / "p.bin"
+        else:
+            r, w = os.pipe()
+            os.write(w, raw)
+            os.close(w)
+            path = f"/dev/fd/{r}"
+        try:
+            with pytest.raises(ValueError, match=r"^requested n=25 but file holds only 24 bits$"):
+                read(path)
+        finally:
+            if pipe:
+                os.close(r)
 
     def test_whole_file_read_once(self, tmp_bits_file):
         size = 4 << 20

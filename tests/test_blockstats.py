@@ -1,5 +1,6 @@
 import math
 import os
+import threading
 import tracemalloc
 from collections import Counter
 from functools import reduce
@@ -349,7 +350,8 @@ def test_stream_level_counts_match_whole_file(packed_path, case, period, periods
     ],
 )
 def test_stream_level_counts_read_a_pipe(tmp_path, fmt, raw, n):
-    """A pipe has no size until it is drained, so it is read as one chunk."""
+    """A pipe has no size, so it is chunked as a file is and counted up to
+    level 5; the levels the n read reaches are those of the file."""
     regular = tmp_path / "bits"
     regular.write_bytes(raw)
     r, w = os.pipe()  # /dev/fd names the read end
@@ -409,6 +411,39 @@ def test_stream_level_counts_memory_is_flat_in_n(tmp_path):
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
+    small, large = peaks
+    assert large <= 1.1 * small
+    assert large < 4 * 2**20  # one 1.875 MiB chunk, a 1 MiB bincount copy, a 0.5 MiB histogram
+
+
+def test_stream_level_counts_memory_is_flat_in_n_on_a_pipe():
+    """A pipe is chunked as a file is, not read whole: with one writer thread
+    filling it, the streamed pass peaks as high on 2^26 bits as on 2^24."""
+    rng = np.random.default_rng(5)
+    peaks = []
+    for n in (1 << 24, 1 << 26):
+        raw = memoryview(rng.integers(0, 256, n // 8, dtype=np.uint8).tobytes())
+        r, w = os.pipe()
+
+        def fill():
+            try:
+                done = 0
+                while done < len(raw):
+                    done += os.write(w, raw[done:])
+            finally:
+                os.close(w)
+
+        writer = threading.Thread(target=fill)
+        tracemalloc.start()
+        try:
+            writer.start()
+            assert stream_level_counts(f"/dev/fd/{r}", "packed")[0] == n
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+            os.close(r)  # a writer still blocked fails instead of hanging
+            writer.join(timeout=60)
+        assert not writer.is_alive()
     small, large = peaks
     assert large <= 1.1 * small
     assert large < 4 * 2**20  # one 1.875 MiB chunk, a 1 MiB bincount copy, a 0.5 MiB histogram

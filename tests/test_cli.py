@@ -258,18 +258,20 @@ class TestExtract:
         assert outs[0] == outs[1]
 
     @pytest.mark.parametrize(
-        "fmt, data, error",
+        "fmt, data, error, pipe",
         [
-            ("text", b"1\n9223372036854775808\n", "line 2: time value exceeds"),
+            ("text", b"1\n9223372036854775808\n", "line 2: time value exceeds", False),
             (
                 "binary",
                 np.array([1, 2, 3], dtype="<u8").tobytes() + b"\x01\x02\x03",
                 "file size 27 bytes",
+                False,
             ),
-            ("text", b"100\n200\n\xd9\xa3\xd9\xa3\xd9\xa3\n", "line 3: no number found"),
-            ("text", "100\n2\u00b2\n".encode(), "line 2: no number found"),
-            ("text", b"100\n\xff\n", "line 2: no number found"),
-            ("binary", b"\xff" * 8 + b"\x01\x02\x03", "file size 11 bytes"),
+            ("text", b"100\n200\n\xd9\xa3\xd9\xa3\xd9\xa3\n", "line 3: no number found", False),
+            ("text", "100\n2\u00b2\n".encode(), "line 2: no number found", False),
+            ("text", b"100\n\xff\n", "line 2: no number found", False),
+            ("binary", b"\xff" * 8 + b"\x01\x02\x03", "file size 11 bytes", False),
+            ("binary", b"\xff" * 8 + b"\x01\x02\x03", "file size 11 bytes", True),
         ],
         ids=[
             "text-beyond-int64",
@@ -278,13 +280,24 @@ class TestExtract:
             "text-superscript-two",
             "text-non-utf8-byte",
             "binary-truncated-beyond-int64",
+            "binary-truncated-beyond-int64-pipe",
         ],
     )
-    def test_bad_input_is_usage_error(self, tmp_path, capsys, fmt, data, error):
+    def test_bad_input_is_usage_error(self, tmp_path, capsys, fmt, data, error, pipe):
         src = tmp_path / "tags"
         src.write_bytes(data)
+        if pipe:  # a pipe has no size: its size fault is found at the end, as a file's is
+            r, w = os.pipe()
+            os.write(w, data)
+            os.close(w)
+            src = f"/dev/fd/{r}"
         out = tmp_path / "o"
-        rc = main(["extract", str(src), "--format", fmt, "--kind", "timestamps", "--out", str(out)])
+        argv = ["extract", str(src), "--format", fmt, "--kind", "timestamps", "--out", str(out)]
+        try:
+            rc = main(argv)
+        finally:
+            if pipe:
+                os.close(r)
         assert rc == EXIT_ERROR
         assert not out.exists()
         assert capsys.readouterr().err.startswith(f"error: {error}")

@@ -392,6 +392,38 @@ def test_generate_and_extract_memory_is_flat_in_n(tmp_path):
         assert large < 10 << 20, (step, large)  # a few 1 MiB reads and their values
 
 
+def test_over_long_line_is_refused(tmp_path, capsys):
+    """A line longer than 1 MiB is refused before it is joined: 16 MiB of
+    spaces before "5" is never held whole, and extract exits 2 naming it."""
+    src, out = tmp_path / "tags.txt", tmp_path / "bits"
+    src.write_bytes(b" " * (16 << 20) + b"5\n6\n")
+
+    def load():
+        with pytest.raises(FormatError, match=r"^line 1: longer than 1048576 bytes$"):
+            load_timetags_text(src, "timestamps")
+
+    assert _traced_peak(load) < 4 << 20
+    argv = ["extract", str(src), "--format", "text", "--kind", "timestamps", "--out", str(out)]
+    assert main(argv) == EXIT_ERROR
+    assert capsys.readouterr().err == "error: line 1: longer than 1048576 bytes\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("eol", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+@pytest.mark.parametrize("read", [1, 2, 3, 5, 7, 8])
+def test_line_limit_is_exact_at_any_read_size(tmp_path, eol, read):
+    """With the limit at 8 bytes a line of 8 is read and one of 9 is refused
+    with its line number, wherever reads of at most 8 bytes (as _READ is at
+    most _MAX_LINE) cut the lines and their ends."""
+    p = tmp_path / "tags.txt"
+    with mock.patch.object(extract, "_READ", read), mock.patch.object(extract, "_MAX_LINE", 8):
+        p.write_text(f"5{eol}1234 678{eol}{eol}7", newline="")
+        assert load_timetags_text(p, "interarrivals").values.tolist() == [5, 1234678, 7]
+        p.write_text(f"5{eol}1234 678{eol}{eol}1234 6789{eol}7", newline="")
+        with pytest.raises(FormatError, match=r"^line 4: longer than 8 bytes$"):
+            load_timetags_text(p, "interarrivals")
+
+
 def truncated_exponential(rate=1.0, a=0.0, b=10.0):
     z = 1.0 - math.exp(-rate * (b - a))
     return DensitySpec(

@@ -228,13 +228,13 @@ def test_after_pulse_runs_are_copied_out_early(delay):
     """At afterpulse_prob = 1 one arrival starts an endless run of after-pulses
     (with delay 0, all n events come from the first arrival); the events
     listed at any time stay within two walks, the pieces yielded within
-    _EVENTS, and every run and piece but the last holds whole bytes of bits."""
+    2 * _PIECE, and every run and piece but the last holds whole bytes of bits."""
     n = 1 << 17
     cfg = GeneratorConfig("detector", n, 3, afterpulse_prob=1.0, afterpulse_delay=delay)
     runs = [times.size for times, _ in simgen._detector_runs(cfg)]
     pieces = [len(tags) for tags, _ in simgen.stream_detector(cfg)]
     assert sum(runs) == sum(pieces) == n
-    assert max(runs) <= 2 * simgen._PIECE and max(pieces) <= simgen._EVENTS
+    assert max(runs) <= 2 * simgen._PIECE and max(pieces) <= 2 * simgen._PIECE
     assert all(size % 8 == 0 for size in runs[:-1] + pieces[:-1])
 
 
@@ -352,15 +352,13 @@ def detector_configs(draw):
     cfg=detector_configs(),
     batch=st.sampled_from([1, 3, 16, 64]),
     piece=st.integers(1, 40),
-    events=st.sampled_from([8, 24, 1 << 14]),
 )
-def test_flat_loop_matches_generator_loop(cfg, batch, piece, events):
+def test_flat_loop_matches_generator_loop(cfg, batch, piece):
     """Small refills, walks and pieces cross every refill, walk, early-cut and
     piece boundary many times; both sides draw with the same patched refill size."""
     with (
         mock.patch.object(simgen, "_BATCH", batch),
         mock.patch.object(simgen, "_PIECE", piece),
-        mock.patch.object(simgen, "_EVENTS", events),
     ):
         tags, bits = gen_detector(cfg)
         ref_tags, ref_bits = _reference_detector(cfg)
