@@ -8,6 +8,8 @@ two sequences are equal iff their (n, storage) pairs are equal.
 from __future__ import annotations
 
 import io
+import os
+import stat
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -162,11 +164,15 @@ def stream_packed(path, chunk_bits: int | None, n: int | None = None) -> Iterato
         raise ValueError(f"requested n={n} is negative")
     done = 0  # bits yielded
     with open(path, "rb") as fh:
+        info = os.fstat(fh.fileno())
+        # a read asks for no more than a regular file holds, so an n far past
+        # its end is refused without allocating n bits first
+        size = info.st_size if stat.S_ISREG(info.st_mode) else None
         while n is None or done < n:
             want = None if n is None else (n - done + 7) // 8  # bytes; None reads to the end
             if chunk_bits is not None:
                 want = chunk_bits // 8 if want is None else min(want, chunk_bits // 8)
-            data = fh.read(want)  # short only at the end of the input
+            data = fh.read(want if want is None or size is None else min(want, size))
             if n is not None and len(data) < want:
                 raise ValueError(f"requested n={n} but file holds only {done + 8 * len(data)} bits")
             if not data:

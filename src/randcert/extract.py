@@ -150,7 +150,8 @@ def load_timetags_text(path, kind: str, unit: str = "") -> TimeTagSeries:
 
     Each read is cut after its last whole line. A plain run of lines, every
     one 1-18 ASCII digits ended by "\\n" (the last newline of the file may
-    be missing), is checked and parsed in numpy. Any other run, blank lines
+    be missing), is checked and parsed in numpy: as a digit matrix when its
+    lines all have one width, else by np.fromstring. Any other run, blank lines
     and CRLF included, goes to the line parser, which gives the same values
     and reports errors with their line numbers.
     """
@@ -177,8 +178,10 @@ def _text_values(fh) -> Iterator[np.ndarray]:
         if after_cr and data.startswith(b"\n"):  # the end of a "\r\n" split by the cut
             lineno -= 1
         after_cr = data.endswith(b"\r")
-        if _is_plain(data):  # one value a line
+        values = _fixed_width(data)
+        if values is None and _is_plain(data):  # one value a line
             values = np.fromstring(data, dtype=np.int64, sep="\n")
+        if values is not None:
             lines = values.size
         else:
             values = _parse_lines(data, lineno)
@@ -190,6 +193,28 @@ def _text_values(fh) -> Iterator[np.ndarray]:
 
 
 _PLAIN_MAX_DIGITS = 18  # 10**18 - 1 < 2**63 - 1, so no plain value overflows int64
+
+
+def _fixed_width(raw: bytes) -> np.ndarray | None:
+    """The values of raw when its lines all have one width, each 1-18 ASCII
+    digits ended by "\\n", parsed from a (lines, width) digit matrix by
+    Horner's rule over its columns; None for any other raw."""
+    width = raw.find(b"\n") + 1
+    if not 2 <= width <= _PLAIN_MAX_DIGITS + 1 or len(raw) % width:
+        return None
+    b = np.frombuffer(raw, dtype=np.uint8)
+    rows = b.reshape(-1, width)
+    # every byte a digit but the one below "0" that ends each row, a "\n"
+    if b.max() > ord("9") or np.count_nonzero(b < ord("0")) != rows.shape[0]:
+        return None
+    if (rows[:, -1] != ord("\n")).any():
+        return None
+    values = rows[:, 0].astype(np.int64)
+    for k in range(1, width - 1):
+        values *= 10
+        values += rows[:, k]
+    values -= ord("0") * (10 ** (width - 1) - 1) // 9  # each digit's "0", as 48 * 11...1
+    return values
 
 
 def _is_plain(raw: bytes) -> bool:
@@ -281,22 +306,28 @@ def _digit_groups() -> np.ndarray:
 def write_timetags_text(series, path) -> None:
     """One decimal value per line, as f"{v}\\n" writes it, formatted in numpy:
     each slab fills a (tags, groups + 1) uint32 matrix with 4-digit groups
-    (the last column holds the newline), and a mask keeps each row's digits
-    from its first significant one through the newline. series is one
-    TimeTagSeries, or an iterable of them written as they come."""
+    (the last column holds the newline). A slab whose values all have w
+    digits is written as the strided slice of each row's last w digits and
+    its newline; in any other slab a mask keeps each row's digits from its
+    first significant one through the newline. series is one TimeTagSeries,
+    or an iterable of them written as they come."""
     groups = _digit_groups()
     with open(path, "wb") as fh:
         for chunk in _chunks(series, TimeTagSeries):
             for a in range(0, len(chunk), _TEXT_SLAB):
                 v = chunk.values[a : a + _TEXT_SLAB]
-                width = np.searchsorted(_POW10, v, side="right") + 1  # digits of each value
-                g = -(-int(width.max()) // 4)
+                narrow, wide = np.searchsorted(_POW10, (v.min(), v.max()), side="right") + 1
+                g = -(-int(wide) // 4)
+                width = None if narrow == wide else np.searchsorted(_POW10, v, side="right") + 1
                 text = np.empty((v.size, g + 1), dtype=np.uint32)
                 chars = text.view(np.uint8)
                 chars[:, 4 * g] = ord("\n")
                 for k in range(g - 1, -1, -1):
                     v, r = np.divmod(v, 10_000)
                     text[:, k] = groups[r]
+                if width is None:
+                    fh.write(chars[:, 4 * g - wide : 4 * g + 1].tobytes())
+                    continue
                 # row w of keep_by_width keeps w digits and the newline
                 col = np.arange(4 * g + 4)
                 keep_by_width = (col >= 4 * g - np.arange(4 * g + 1)[:, None]) & (col <= 4 * g)

@@ -24,7 +24,13 @@ DETECTOR = "detector"
 
 _CHUNK = 1 << 22  # uniforms drawn at a time; a multiple of 8, so the packed chunks concatenate
 _BATCH = 1 << 16  # uniforms per refill of the detector streams; fixes the output bytes
-_PIECE = 1 << 12  # arrivals listed as Python floats at a time
+_PIECE = 1 << 12  # half a detector run; arrivals walked at a time where conflicts are dense
+_WALK = 4  # arrivals listed at a time where a conflict interrupts the numpy path
+# a refill is walked event by event when more than one arrival in _DENSE
+# would need Python: a dead-time conflict chained to another, or an
+# expected hand-over to the one-event loop
+_DENSE = 64
+_HANDOFF, _LONE, _VOID = 0, 1, 2  # what an after-pulse does; see _pulse_kinds
 
 
 @dataclass(frozen=True)
@@ -134,81 +140,311 @@ def _piece(
     return TimeTagSeries(times.astype(np.int64), "unit", TIMESTAMPS), BitSequence.from_bits(bits)
 
 
+def _arrivals(bg, clock: float, mean: float) -> tuple[np.ndarray, np.ndarray]:
+    """A refill of the arrival stream: the times clock + cumsum(-mean *
+    log1p(-u)) over _BATCH uniforms, computed in place, and the detectors,
+    1 where the next _BATCH uniforms are below 1/2."""
+    arrival_t = _raw_uniforms(bg, _BATCH)
+    np.log1p(np.negative(arrival_t, out=arrival_t), out=arrival_t)
+    arrival_t *= -mean
+    np.cumsum(arrival_t, out=arrival_t)
+    arrival_t += clock
+    return arrival_t, (_raw_uniforms(bg, _BATCH) < 0.5).view(np.uint8)
+
+
+def _kept_arrivals(
+    arrival_t: np.ndarray, arrival_d: np.ndarray, last: list[float], tau: float
+) -> np.ndarray | None:
+    """Which arrivals of a refill the dead time keeps when no after-pulse
+    comes between them, from the last recorded times given, or None where
+    conflicts are dense: when more than one arrival in _DENSE is the second
+    or later of a run of arrivals each within tau of the one before it on
+    its detector.
+
+    An arrival tau or more after the one before it on its detector is kept,
+    whatever happened to that one; the first of a run of closer arrivals is
+    dropped, and the rest of the run is walked against the last kept time.
+    The differences are the loop's own float subtractions."""
+    runs = []
+    for det in (0, 1):
+        idx = np.flatnonzero(arrival_d == det)
+        t = arrival_t[idx]
+        close = np.diff(t, prepend=last[det]) < tau
+        runs.append((idx, t, close, np.flatnonzero(close[1:] & close[:-1]) + 1))
+    if _DENSE * sum(chained.size for *_, chained in runs) > arrival_t.size:
+        return None
+    keep = np.empty(arrival_t.size, dtype=bool)
+    for det, (idx, t, close, chained) in enumerate(runs):
+        kept = ~close
+        after = -1  # the chained arrival before, or -1
+        for j in chained.tolist():
+            if j != after + 1:  # arrival j - 1 opens the run: dropped, after a kept one
+                last_kept = t[j - 2] if j >= 2 else last[det]
+            if t[j] - last_kept >= tau:
+                kept[j] = True
+                last_kept = t[j]
+            after = j
+        keep[idx] = kept
+    return keep
+
+
+def _pulse_kinds(kept_t: np.ndarray, kept_d: np.ndarray, tau: float, delay: float) -> np.ndarray:
+    """What an after-pulse injected by each kept arrival does, if it injects
+    none itself: _VOID when the dead time drops it whatever comes between,
+    since the loop's (t + delay) - t is below tau; _LONE when it is recorded
+    right after its arrival and leaves every later choice of the dead time
+    as it was, since it comes no later than the next kept arrival, and the
+    next kept arrival on its detector comes tau or more after it; _HANDOFF
+    otherwise, as after the last kept arrival on each detector."""
+    pulse_t = kept_t + delay
+    lone = np.zeros(kept_t.size, dtype=bool)
+    lone[:-1] = pulse_t[:-1] <= kept_t[1:]
+    for det in (0, 1):
+        idx = np.flatnonzero(kept_d == det)
+        lone[idx[-1:]] = False
+        lone[idx[:-1]] &= kept_t[idx[1:]] - pulse_t[idx[:-1]] >= tau
+    return np.where(pulse_t - kept_t < tau, _VOID, lone).astype(np.int8)
+
+
+def _spawn_batch(coin_bg, start: int, prob: float) -> Iterator[int]:
+    """The ranks in [start, start + _BATCH) whose coin injects an after-pulse."""
+    return iter((start + np.flatnonzero(_raw_uniforms(coin_bg, _BATCH) < prob)).tolist())
+
+
+def _synced(i: int, arrival_t, arrival_d, keep, last: list[float], tau: float) -> bool:
+    """Whether the next arrival on each detector, from arrival i on, is kept
+    by the filter keep and by the dead time after last."""
+    todo = 3
+    for j in range(i, arrival_t.size):
+        d = int(arrival_d[j])
+        if todo >> d & 1:
+            if not keep[j] or arrival_t[j] - last[d] < tau:
+                return False
+            todo ^= 1 << d
+            if not todo:
+                break
+    return True
+
+
+def _ranges(starts: list[int], lengths: list[int], m: int) -> np.ndarray:
+    """arange(s, s + l) for each (s, l) pair, concatenated, where a negative
+    s stands for m + ~s."""
+    starts, lengths = np.asarray(starts, np.int32), np.asarray(lengths, np.int32)
+    starts = np.where(starts < 0, m + ~starts, starts)
+    ends = np.cumsum(lengths, dtype=np.int32)
+    total = int(ends[-1]) if ends.size else 0
+    return np.repeat(starts - ends + lengths, lengths) + np.arange(total, dtype=np.int32)
+
+
 def _detector_runs(cfg: GeneratorConfig) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """The recorded events as runs of (float times, detector bits) arrays;
-    every run but the last holds a multiple of 8 events, at most 2 * _PIECE.
+    every run but the last holds 2 * _PIECE events rounded down to whole
+    bytes.
 
     Each arrival refill draws 2 * _BATCH Philox uniforms: interarrivals from
     the first half, detector coins from the second; the clock carries over
     between refills. The coin of recorded event k is uniform k of a second
-    Philox stream keyed seed + 2**64, so the arrival stream is unaffected.
-    Those coins are drawn _BATCH at a time, as the count of recorded events
-    reaches them, and only when afterpulse_prob > 0; each refill becomes
-    the ranks of the events that inject an after-pulse. One loop walks the
-    arrivals as Python floats, _PIECE at a time, and merges them with a FIFO
-    of pending after-pulses, which pops first on a tie and stays empty
-    without after-pulsing. The recorded events are listed, and cut into a
-    run once at least _PIECE are listed: at the end of a walk of _PIECE
-    arrivals, or sooner, when a run of after-pulses pops the next one.
+    Philox stream keyed seed + 2**64, so the arrival stream is unaffected;
+    those coins are drawn _BATCH at a time (_spawn_batch), as the events
+    reach them, and only when afterpulse_prob > 0.
+
+    The events are those of a loop that takes the arrivals one at a time and
+    merges them with a FIFO of pending after-pulses, which pops first on a
+    tie, dropping an event within dead_time of the last recorded one on its
+    detector. Python takes that loop's steps only where an after-pulse or a
+    dead-time conflict can change the outcome. Per refill, numpy finds the
+    arrivals the dead time keeps among arrivals alone (_kept_arrivals) and
+    what an after-pulse of each would do (_pulse_kinds). From a point where
+    nothing is pending and each detector's next arrival is kept, both by
+    that filter and against the last recorded times (_synced), the events
+    are the kept arrivals in order, so Python steps only from one injecting
+    rank to the next: a void after-pulse is passed over, a lone one is
+    listed after its arrival and shifts the later ranks by one, and any
+    other, or a lone one whose own coin injects, is pushed and hands over
+    to the one-event loop, which walks _WALK arrivals at a time until such a
+    point comes again. Where conflicts are dense (_DENSE), the one-event
+    loop walks whole refills, _PIECE arrivals at a time. The events are
+    listed as ranges of the kept arrivals and of the one-event loop's
+    events, and gathered in numpy at the end of each refill, or sooner, once
+    the one-event loop has listed _PIECE events.
     """
     n, tau, prob, delay = cfg.n, cfg.dead_time, cfg.afterpulse_prob, cfg.afterpulse_delay
     arrival_bg = np.random.Philox(key=cfg.seed)
     coin_bg = np.random.Philox(key=cfg.seed + (1 << 64))
-    clock, offset = 0.0, _BATCH  # offset: where the next walk starts in the refill
+    clock = 0.0
     last = [-math.inf, -math.inf]
     # (time, detector); recorded times never decrease, so neither do the
     # after-pulse times pushed, and a FIFO pops them in time order
     pending: deque[tuple[float, int]] = deque()
     recorded = 0
-    # next_spawn is the rank of the next event that injects an after-pulse,
-    # or coin_end when no drawn coin is left; -1 never matches
-    coin_end, next_spawn = 0, (0 if prob > 0 else -1)
-    listed_t: list[float] = []  # recorded events not yet cut into a run
-    listed_d: list[int] = []
+    # spawns: the ranks below coin_end that inject an after-pulse; next_spawn
+    # is the next of them, else coin_end, or n, never reached, when prob = 0
+    coin_end = 0
+    spawns: Iterator[int] = iter(())
+    next_spawn = 0 if prob > 0 else n
+    # the events listed and not yet gathered: ranges of positions in the
+    # refill's kept arrivals, or of ~positions in the other events (of which
+    # the first `covered` are in ranges), and the kept arrivals that an
+    # after-pulse follows
+    starts: list[int] = []
+    lengths: list[int] = []
+    other_t: list[float] = []
+    other_d: list[int] = []
+    covered = 0
+    lone: list[int] = []
+    run_size = max(2 * _PIECE & ~7, 8)
+    held_t, held_d = np.empty(0), np.empty(0, dtype=np.uint8)  # gathered, not yet cut
+    dense = False
 
-    def cut(count: int) -> tuple[np.ndarray, np.ndarray]:
-        run = np.fromiter(listed_t, np.float64, count), np.fromiter(listed_d, np.uint8, count)
-        del listed_t[:count], listed_d[:count]
-        return run
-
-    while recorded < n:
-        if offset >= _BATCH:
-            u = _raw_uniforms(arrival_bg, 2 * _BATCH)
-            arrival_t = clock + np.cumsum(-cfg.mean_interarrival * np.log1p(-u[:_BATCH]))
-            clock = float(arrival_t[-1])
-            arrival_d = (u[_BATCH:] < 0.5).view(np.uint8)
-            offset = 0
-        walk = slice(offset, offset + _PIECE)
-        offset += _PIECE
-        for ta, da in zip(arrival_t[walk].tolist(), arrival_d[walk].tolist()):
+    def walk(i: int, count: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """The one-event loop over arrivals i .. i + count of the refill; it
+        lists the recorded events in other_t and other_d."""
+        nonlocal recorded, next_spawn, spawns, coin_end
+        # the loop's counters as locals, stored back when the walk ends
+        rank, spawn, ranks, drawn = recorded, next_spawn, spawns, coin_end
+        queue, times, dets = pending, other_t, other_d
+        for ta, da in zip(arrival_t[i : i + count].tolist(), arrival_d[i : i + count].tolist()):
             arrived = False
-            while not arrived and recorded < n:
-                if pending and pending[0][0] <= ta:
-                    t, det = pending.popleft()
+            while not arrived and rank < n:
+                if queue and queue[0][0] <= ta:
+                    t, det = queue.popleft()
                     # a run of after-pulses lists _PIECE events before the walk ends
-                    if len(listed_t) >= _PIECE and (whole := len(listed_t) & ~7):
-                        yield cut(whole)
+                    if len(times) >= _PIECE:
+                        yield from cut(False)
                 else:
                     t, det, arrived = ta, da, True
                 if t - last[det] < tau:
                     continue
                 last[det] = t
-                listed_t.append(t)
-                listed_d.append(det)
-                if recorded == next_spawn:
-                    if recorded == coin_end:
-                        coins = _raw_uniforms(coin_bg, _BATCH)
-                        spawns = iter((coin_end + np.flatnonzero(coins < prob)).tolist())
-                        coin_end += _BATCH
-                        next_spawn = next(spawns, coin_end)
-                    if recorded == next_spawn:
-                        pending.append((t + delay, det))
-                        next_spawn = next(spawns, coin_end)
-                recorded += 1
-        if len(listed_t) >= _PIECE and (whole := len(listed_t) & ~7):
-            yield cut(whole)
-    if listed_t:
-        yield cut(len(listed_t))
+                times.append(t)
+                dets.append(det)
+                if rank == spawn:
+                    if rank == drawn:
+                        ranks = _spawn_batch(coin_bg, drawn, prob)
+                        drawn += _BATCH
+                        spawn = next(ranks, drawn)
+                    if rank == spawn:
+                        queue.append((t + delay, det))
+                        spawn = next(ranks, drawn)
+                rank += 1
+        recorded, next_spawn, spawns, coin_end = rank, spawn, ranks, drawn
+        if len(times) >= _PIECE:
+            yield from cut(False)
+
+    def leap(i: int) -> int:
+        """From arrival i, where the loop is synced, list the kept arrivals
+        and their lone after-pulses, up to the refill's end, event n, or an
+        injecting arrival whose after-pulse the one-event loop must take,
+        which is pushed; return the arrival that comes next."""
+        nonlocal recorded, next_spawn, spawns, coin_end
+        p = int(kept.searchsorted(np.int32(i)))
+        shift = recorded - p  # kept arrival x has rank x + shift
+        while True:
+            if next_spawn == coin_end < n:
+                spawns = _spawn_batch(coin_bg, coin_end, prob)
+                coin_end += _BATCH
+                next_spawn = next(spawns, coin_end)
+            rank, q = next_spawn, next_spawn - shift  # the next injecting event
+            if q >= m or rank >= n:
+                end = min(m, n - shift)
+                break
+            next_spawn = next(spawns, coin_end)
+            kind = kinds[q]
+            if kind == _VOID:
+                continue
+            if kind != _LONE or rank + 1 == n or next_spawn == rank + 1:
+                end = q + 1
+                if rank + 1 < n:
+                    pending.append((float(kept_t[q]) + delay, int(kept_d[q])))
+                break
+            lone.append(q)
+            shift += 1
+        close_others()
+        starts.append(p)
+        lengths.append(end - p)
+        recorded = end + shift
+        # each detector's last kept arrival, walked back to; an after-pulse
+        # after it may be later, but until the next kept arrival on its
+        # detector, tau or more after the after-pulse, last decides alike
+        todo = 3
+        for x in range(end - 1, p - 1, -1):
+            d = int(kept_d[x])
+            if todo >> d & 1:
+                last[d] = float(kept_t[x])
+                todo ^= 1 << d
+                if not todo:
+                    break
+        return int(kept[end - 1]) + 1 if pending else _BATCH
+
+    def close_others() -> None:
+        """List the events of other_t not yet in a range as one range."""
+        nonlocal covered
+        if len(other_t) > covered:
+            starts.append(~covered)
+            lengths.append(len(other_t) - covered)
+            covered = len(other_t)
+
+    def cut(final: bool) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """Gather the listed events and yield the held ones in runs of
+        run_size events, and with final, the rest."""
+        nonlocal covered, held_t, held_d
+        close_others()
+        count = len(other_t)
+        src_t = np.fromiter(other_t, np.float64, count)
+        src_d = np.fromiter(other_d, np.uint8, count)
+        pos = None  # with only other events listed, they are in order
+        if max(starts, default=-1) >= 0:  # kept arrivals too: after them, the after-pulses
+            pos = _ranges(starts, lengths, m + len(lone))
+            if lone:  # each after the kept arrival that injects it
+                at = np.flatnonzero(pos < m)
+                at = at[pos[at].searchsorted(lone)] + 1
+                pos = np.insert(pos, at, np.arange(m, m + len(lone), dtype=np.int32))
+            src_t = np.concatenate((kept_t, kept_t[lone] + delay, src_t))
+            src_d = np.concatenate((kept_d, kept_d[lone], src_d))
+        del starts[:], lengths[:], other_t[:], other_d[:], lone[:]
+        covered = 0
+        h = held_t.size
+        times = np.empty(h + (count if pos is None else pos.size))
+        dets = np.empty(times.size, dtype=np.uint8)
+        times[:h], dets[:h] = held_t, held_d
+        times[h:], dets[h:] = (src_t, src_d) if pos is None else (src_t[pos], src_d[pos])
+        del src_t, src_d, pos
+        whole = times.size if final else times.size - times.size % run_size
+        for a in range(0, whole, run_size):
+            yield times[a : a + run_size], dets[a : a + run_size]
+        held_t, held_d = times[whole:].copy(), dets[whole:].copy()
+
+    while recorded < n:
+        arrival_t, arrival_d = _arrivals(arrival_bg, clock, cfg.mean_interarrival)
+        clock = float(arrival_t[-1])
+        keep = None if dense else _kept_arrivals(arrival_t, arrival_d, last, tau)
+        dense = keep is None  # arrivals are stationary: later refills would be dense too
+        kept = np.flatnonzero(keep).astype(np.int32) if keep is not None else np.empty(0, np.int32)
+        kept_t, kept_d = arrival_t[kept], arrival_d[kept]
+        m = kept.size
+        kinds = b""
+        if keep is not None and prob > 0:
+            kinds = _pulse_kinds(kept_t, kept_d, tau, delay)
+            handoffs = np.count_nonzero(kinds == _HANDOFF) + prob * np.count_nonzero(kinds == _LONE)
+            if _DENSE * prob * handoffs > _BATCH:
+                keep, dense = None, True  # expected hand-overs are dense
+            kinds = kinds.tobytes()
+        walk_size = _WALK if keep is not None else _PIECE
+        fast = keep is not None and not pending  # the filter starts from last: synced
+        i = 0  # the next arrival
+        while i < _BATCH and recorded < n:
+            if fast:
+                i = leap(i)
+            else:
+                yield from walk(i, walk_size)
+                i += walk_size
+            fast = (
+                keep is not None
+                and not pending
+                and _synced(i, arrival_t, arrival_d, keep, last, tau)
+            )
+        del arrival_t, arrival_d, keep, kept, kinds  # freed before the events are gathered
+        yield from cut(recorded == n)
 
 
 def gen_detector(cfg: GeneratorConfig) -> tuple[TimeTagSeries, BitSequence]:

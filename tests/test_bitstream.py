@@ -154,6 +154,21 @@ class TestLoadPacked:
             if pipe:
                 os.close(r)
 
+    @pytest.mark.parametrize("n", [10**9, 10**12], ids=["1e9", "1e12"])
+    def test_n_far_past_a_short_file_is_refused_without_allocating_it(self, tmp_path, n):
+        """The one read of load_packed asks for no more than the file holds:
+        10**12 bits would be a 125 GB buffer, and used to raise MemoryError."""
+        p = tmp_path / "one.bin"
+        p.write_bytes(b"\x01")
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=rf"^requested n={n} but file holds only 8 bits$"):
+                bitstream.load_packed(p, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
     def test_whole_file_read_once(self, tmp_bits_file):
         size = 4 << 20
         p = tmp_bits_file("p.bin", bytes(range(256)) * (size // 256), binary=True)

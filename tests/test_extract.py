@@ -207,6 +207,17 @@ class TestWriteText:
         assert p.read_bytes() == "".join(f"{v}\n" for v in values).encode()
         assert load_timetags_text(p, "interarrivals").values.tolist() == list(values)
 
+    @pytest.mark.parametrize(
+        "start", [10**9 - 1000, 10**8], ids=["crosses-a-power-of-ten", "one-width"]
+    )
+    def test_one_width_and_mixed_width_slabs(self, tmp_path, start):
+        """Two and a half slabs of consecutive values: a slab of one width is
+        written as a strided slice, a slab that crosses 10**9 through the mask."""
+        values = start + np.arange(5 << 15, dtype=np.int64)
+        p = tmp_path / "tags.txt"
+        write_timetags_text(series(values), p)
+        assert p.read_bytes() == "".join(f"{v}\n" for v in values.tolist()).encode()
+
     def test_empty_series_writes_empty_file(self, tmp_path):
         p = tmp_path / "tags.txt"
         write_timetags_text(series([]), p)
@@ -276,6 +287,36 @@ def test_text_fast_path_matches_line_parser(tmp_path_factory, raw):
     assert got == _outcome(lambda q: extract._parse_lines(q.read_bytes()), p)
     plain = re.fullmatch(rb"(?:[0-9]{1,18}\n)*(?:[0-9]{1,18})?", raw)
     assert extract._is_plain(raw) == bool(plain)
+
+
+@pytest.mark.parametrize(
+    "raw, fixed",
+    [
+        (b"007\n012\n900\n", True),
+        (b"1000000000000000000\n1000000000000000001\n", False),
+        (b"9999999999999999999\n", False),
+        (b"12\n345\n67\n", False),
+        (b"12\n3x\n45\n", False),
+        (b"12\n34", False),
+    ],
+    ids=[
+        "leading-zeros",
+        "19-digits",
+        "19-digits-past-int64",
+        "width-change",
+        "non-digit",
+        "no-final-newline",
+    ],
+)
+def test_fixed_width_reads_match_line_parser(tmp_path, raw, fixed):
+    """A read of lines of one width, each 1-18 digits and a newline, is parsed
+    as a digit matrix; any other read gives the line parser's values, or its
+    error text and line number."""
+    assert (extract._fixed_width(raw) is not None) == fixed
+    p = tmp_path / "tags.txt"
+    p.write_bytes(raw)
+    got = _outcome(lambda q: load_timetags_text(q, "interarrivals").values, p)
+    assert got == _outcome(lambda q: extract._parse_lines(q.read_bytes()), p)
 
 
 def _rising(draw, top: int) -> list[int]:

@@ -169,6 +169,14 @@ class TestDetector:
         tags, bits = gen_detector(GeneratorConfig("detector", n=n, seed=8, **defects))
         assert hashlib.sha256(tags.values.tobytes() + bits.data).hexdigest() == digest
 
+    def test_benchmark_stream_pinned(self):
+        """The stream of the timetags-detector-2e20 benchmark workload: 2^20 + 1
+        tags at seed 7 with its defects, pinned from the all-Python event loop."""
+        tags, bits = gen_detector(GeneratorConfig("detector", (1 << 20) + 1, 7, **BENCH_DEFECTS))
+        assert hashlib.sha256(tags.values.tobytes() + bits.data).hexdigest() == (
+            "3c42e2e66d28a05e0736fe7fb4b4ba887fe2ec0b04957f6e5f01c3a76477a99f"
+        )
+
     def test_defect_free_marginal_is_fair(self):
         n = 2**20
         _, bits = gen_detector(GeneratorConfig("detector", n=n, seed=3))
@@ -363,3 +371,49 @@ def test_flat_loop_matches_generator_loop(cfg, batch, piece):
         tags, bits = gen_detector(cfg)
         ref_tags, ref_bits = _reference_detector(cfg)
     assert _output(tags, bits) == _output(ref_tags, ref_bits)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    cfg=detector_configs(),
+    batch=st.sampled_from([1, 3, 16, 64]),
+    piece=st.integers(1, 40),
+    walk=st.integers(1, 8),
+)
+def test_numpy_path_matches_generator_loop(cfg, batch, piece, walk):
+    """With _DENSE = 0 no refill counts as dense, so every refill takes the
+    numpy path and hands over to the one-event loop at each conflict, however
+    many: small refills and walks cross every hand-over, refill and coin
+    batch boundary."""
+    with (
+        mock.patch.object(simgen, "_BATCH", batch),
+        mock.patch.object(simgen, "_PIECE", piece),
+        mock.patch.object(simgen, "_WALK", walk),
+        mock.patch.object(simgen, "_DENSE", 0),
+    ):
+        tags, bits = gen_detector(cfg)
+        ref_tags, ref_bits = _reference_detector(cfg)
+    assert _output(tags, bits) == _output(ref_tags, ref_bits)
+
+
+@pytest.mark.parametrize(
+    "defects",
+    [
+        BENCH_DEFECTS,
+        dict(BENCH_DEFECTS, afterpulse_delay=50.0),
+        dict(BENCH_DEFECTS, afterpulse_delay=float(np.nextafter(50.0, 0))),
+        dict(BENCH_DEFECTS, afterpulse_prob=0.5),
+        dict(afterpulse_prob=1.0, afterpulse_delay=0.0),
+    ],
+    ids=["bench", "delay-equals-dead-time", "delay-just-below-dead-time", "chains", "delay-0"],
+)
+@pytest.mark.parametrize("dense", [simgen._DENSE, 0], ids=["as-built", "numpy-path-only"])
+def test_matches_generator_loop_at_full_refills(defects, dense):
+    """At the real _BATCH, 2^17 + 3 events cross an arrival refill and a coin
+    batch; with _DENSE = 0 no refill is left to the one-event loop, even
+    where after-pulses chain. Near dead_time, whether an after-pulse passes
+    rests on the rounding of (t + delay) - t: just below dead_time it rounds
+    up to dead_time once t is large, so the after-pulse is kept."""
+    cfg = GeneratorConfig("detector", (1 << 17) + 3, 11, **defects)
+    with mock.patch.object(simgen, "_DENSE", dense):
+        assert _output(*gen_detector(cfg)) == _output(*_reference_detector(cfg))
