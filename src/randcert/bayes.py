@@ -19,7 +19,7 @@ import numpy as np
 
 from .bitstream import BitSequence
 from .blockstats import BlockCounts, level_counts
-from .borel import borel_deviations
+from .borel import FLOAT_INT_END, borel_deviations
 from .errors import NumericError
 from .partitions import PartitionModel
 from .specialfn import log_gamma, polygamma1, stirling_tail
@@ -29,6 +29,7 @@ _LN_2PI = math.log(2.0 * math.pi)
 _LG_HALF = log_gamma(0.5)
 
 BOUND_MAX_LEVEL = 8
+BOUND_MAX_N = math.isqrt(FLOAT_INT_END - 1)  # the largest n whose n * n converts to a float
 
 
 def log_marginal_blocks(m: Sequence[float], s: Sequence[float], total: float) -> float:
@@ -114,6 +115,11 @@ def bayes_bound_rhs(n: int, i: int) -> float:
         raise ValueError(
             f"bound needs n >= i * 2^i = {i * two_i} so every substring is "
             f"expected at least once, got n={n}"
+        )
+    if n > BOUND_MAX_N:
+        raise ValueError(
+            f"bound needs n <= {BOUND_MAX_N} (just under 2^512) so that n * n "
+            f"converts to a float, got n={n}"
         )
     x = 0.5 + n / (i * two_i)
     half = 1 << (i - 1)  # 1 / 2^(1-i)

@@ -8,8 +8,6 @@ two sequences are equal iff their (n, storage) pairs are equal.
 from __future__ import annotations
 
 import io
-import os
-import stat
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -22,7 +20,9 @@ from .errors import FormatError
 _ASCII_CLASS = np.full(256, 3, dtype=np.uint8)
 _ASCII_CLASS[list(b" \t\r\n\x0b\x0c")] = 2
 _ASCII_CLASS[list(b"01")] = [0, 1]
-_ASCII_CHUNK = 1 << 23  # bits per chunk that load_ascii takes from stream_ascii
+# bits per chunk that load_ascii and load_packed join: 128 KiB packed, so a
+# load peaks near one packed copy of the bits plus a chunk
+_LOAD_CHUNK = 1 << 20
 _SLAB = 1 << 20  # bytes read, or packed bytes rendered, at a time
 
 
@@ -92,14 +92,12 @@ def _bits_from_ascii(chunk: bytes, base_offset: int) -> np.ndarray:
 
 def load_ascii(path) -> BitSequence:
     """Read a '0'/'1' text file; whitespace is skipped."""
-    return concat(stream_ascii(path, _ASCII_CHUNK))
+    return concat(stream_ascii(path, _LOAD_CHUNK))
 
 
 def load_packed(path, n: int | None = None) -> BitSequence:
-    """Read raw packed bytes, MSB-first. n defaults to 8 * byte length. One
-    chunk of stream_packed: one read, and a copy only to zero pad bits."""
-    chunks = list(stream_packed(path, None, n))  # one chunk, none when n = 0
-    return chunks[0] if chunks else BitSequence(b"", 0)
+    """Read raw packed bytes, MSB-first. n defaults to 8 * byte length."""
+    return concat(stream_packed(path, _LOAD_CHUNK, n))
 
 
 def _chunks(obj, cls) -> Iterable:
@@ -152,27 +150,21 @@ def stream_ascii(path, chunk_bits: int) -> Iterator[BitSequence]:
         yield BitSequence(bytes(packed) + np.packbits(loose).tobytes(), tail)
 
 
-def stream_packed(path, chunk_bits: int | None, n: int | None = None) -> Iterator[BitSequence]:
+def stream_packed(path, chunk_bits: int, n: int | None = None) -> Iterator[BitSequence]:
     """Yield chunks of chunk_bits bits (the last may be short) from a packed
     file, read in order up to bit n or to its end; chunk_bits is a multiple
-    of 8, or None for one read of every bit. The one place that resolves and
-    checks a packed n: an n past the end is refused when the input ends, so a
-    pipe is read as a file is."""
-    if chunk_bits is not None and (chunk_bits <= 0 or chunk_bits % 8):
+    of 8. The one place that resolves and checks a packed n: an n past the
+    end is refused when the input ends, so a pipe is read as a file is, and
+    no read asks for more than one chunk, however large n is."""
+    if chunk_bits <= 0 or chunk_bits % 8:
         raise ValueError("chunk_bits must be a positive multiple of 8")
     if n is not None and n < 0:
         raise ValueError(f"requested n={n} is negative")
     done = 0  # bits yielded
     with open(path, "rb") as fh:
-        info = os.fstat(fh.fileno())
-        # a read asks for no more than a regular file holds, so an n far past
-        # its end is refused without allocating n bits first
-        size = info.st_size if stat.S_ISREG(info.st_mode) else None
         while n is None or done < n:
-            want = None if n is None else (n - done + 7) // 8  # bytes; None reads to the end
-            if chunk_bits is not None:
-                want = chunk_bits // 8 if want is None else min(want, chunk_bits // 8)
-            data = fh.read(want if want is None or size is None else min(want, size))
+            want = chunk_bits // 8 if n is None else min(chunk_bits // 8, (n - done + 7) // 8)
+            data = fh.read(want)
             if n is not None and len(data) < want:
                 raise ValueError(f"requested n={n} but file holds only {done + 8 * len(data)} bits")
             if not data:

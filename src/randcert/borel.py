@@ -17,6 +17,8 @@ import numpy as np
 from .bitstream import BitSequence
 from .blockstats import BlockCounts, level_counts
 
+FLOAT_INT_END = 2**1024 - 2**970  # the least int that rounds past the largest float
+
 
 @dataclass(frozen=True)
 class BorelLevelReport:
@@ -47,6 +49,8 @@ def borel_bound(n: int) -> float:
     """Right-hand side sqrt(log2(n)/n); constant across levels."""
     if n < 2:
         raise ValueError(f"bound undefined for n={n} (need n >= 2)")
+    if n >= FLOAT_INT_END:
+        raise ValueError(f"bound needs n < 2^1024 - 2^970, where floats end, got n={n}")
     return math.sqrt(math.log2(n) / n)
 
 

@@ -206,9 +206,16 @@ def _pulse_kinds(kept_t: np.ndarray, kept_d: np.ndarray, tau: float, delay: floa
     return np.where(pulse_t - kept_t < tau, _VOID, lone).astype(np.int8)
 
 
-def _spawn_batch(coin_bg, start: int, prob: float) -> Iterator[int]:
-    """The ranks in [start, start + _BATCH) whose coin injects an after-pulse."""
-    return iter((start + np.flatnonzero(_raw_uniforms(coin_bg, _BATCH) < prob)).tolist())
+def _spawn_ranks(cfg: GeneratorConfig) -> Iterator[int]:
+    """The ranks below n, in order, whose coin injects an after-pulse. The
+    coins are drawn _BATCH at a time, none when afterpulse_prob is 0, and a
+    batch's mask and ranks are held between ranks, not its uniforms."""
+    if cfg.afterpulse_prob == 0:
+        return
+    coin_bg = np.random.Philox(key=cfg.seed + (1 << 64))
+    for start in range(0, cfg.n, _BATCH):
+        spawn = _raw_uniforms(coin_bg, min(_BATCH, cfg.n - start)) < cfg.afterpulse_prob
+        yield from (start + np.flatnonzero(spawn)).tolist()
 
 
 def _synced(i: int, arrival_t, arrival_d, keep, last: list[float], tau: float) -> bool:
@@ -245,8 +252,8 @@ def _detector_runs(cfg: GeneratorConfig) -> Iterator[tuple[np.ndarray, np.ndarra
     the first half, detector coins from the second; the clock carries over
     between refills. The coin of recorded event k is uniform k of a second
     Philox stream keyed seed + 2**64, so the arrival stream is unaffected;
-    those coins are drawn _BATCH at a time (_spawn_batch), as the events
-    reach them, and only when afterpulse_prob > 0.
+    _spawn_ranks draws those coins as the events reach them and yields the
+    injecting ranks, which walk and leap take one at a time.
 
     The events are those of a loop that takes the arrivals one at a time and
     merges them with a FIFO of pending after-pulses, which pops first on a
@@ -270,18 +277,14 @@ def _detector_runs(cfg: GeneratorConfig) -> Iterator[tuple[np.ndarray, np.ndarra
     """
     n, tau, prob, delay = cfg.n, cfg.dead_time, cfg.afterpulse_prob, cfg.afterpulse_delay
     arrival_bg = np.random.Philox(key=cfg.seed)
-    coin_bg = np.random.Philox(key=cfg.seed + (1 << 64))
     clock = 0.0
     last = [-math.inf, -math.inf]
     # (time, detector); recorded times never decrease, so neither do the
     # after-pulse times pushed, and a FIFO pops them in time order
     pending: deque[tuple[float, int]] = deque()
     recorded = 0
-    # spawns: the ranks below coin_end that inject an after-pulse; next_spawn
-    # is the next of them, else coin_end, or n, never reached, when prob = 0
-    coin_end = 0
-    spawns: Iterator[int] = iter(())
-    next_spawn = 0 if prob > 0 else n
+    spawns = _spawn_ranks(cfg)
+    next_spawn = next(spawns, n)  # the next injecting rank, or n, never reached
     # the events listed and not yet gathered: ranges of positions in the
     # refill's kept arrivals, or of ~positions in the other events (of which
     # the first `covered` are in ranges), and the kept arrivals that an
@@ -299,9 +302,9 @@ def _detector_runs(cfg: GeneratorConfig) -> Iterator[tuple[np.ndarray, np.ndarra
     def walk(i: int, count: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """The one-event loop over arrivals i .. i + count of the refill; it
         lists the recorded events in other_t and other_d."""
-        nonlocal recorded, next_spawn, spawns, coin_end
+        nonlocal recorded, next_spawn
         # the loop's counters as locals, stored back when the walk ends
-        rank, spawn, ranks, drawn = recorded, next_spawn, spawns, coin_end
+        rank, spawn = recorded, next_spawn
         queue, times, dets = pending, other_t, other_d
         for ta, da in zip(arrival_t[i : i + count].tolist(), arrival_d[i : i + count].tolist()):
             arrived = False
@@ -319,15 +322,10 @@ def _detector_runs(cfg: GeneratorConfig) -> Iterator[tuple[np.ndarray, np.ndarra
                 times.append(t)
                 dets.append(det)
                 if rank == spawn:
-                    if rank == drawn:
-                        ranks = _spawn_batch(coin_bg, drawn, prob)
-                        drawn += _BATCH
-                        spawn = next(ranks, drawn)
-                    if rank == spawn:
-                        queue.append((t + delay, det))
-                        spawn = next(ranks, drawn)
+                    queue.append((t + delay, det))
+                    spawn = next(spawns, n)
                 rank += 1
-        recorded, next_spawn, spawns, coin_end = rank, spawn, ranks, drawn
+        recorded, next_spawn = rank, spawn
         if len(times) >= _PIECE:
             yield from cut(False)
 
@@ -336,19 +334,15 @@ def _detector_runs(cfg: GeneratorConfig) -> Iterator[tuple[np.ndarray, np.ndarra
         and their lone after-pulses, up to the refill's end, event n, or an
         injecting arrival whose after-pulse the one-event loop must take,
         which is pushed; return the arrival that comes next."""
-        nonlocal recorded, next_spawn, spawns, coin_end
+        nonlocal recorded, next_spawn
         p = int(kept.searchsorted(np.int32(i)))
         shift = recorded - p  # kept arrival x has rank x + shift
         while True:
-            if next_spawn == coin_end < n:
-                spawns = _spawn_batch(coin_bg, coin_end, prob)
-                coin_end += _BATCH
-                next_spawn = next(spawns, coin_end)
             rank, q = next_spawn, next_spawn - shift  # the next injecting event
             if q >= m or rank >= n:
                 end = min(m, n - shift)
                 break
-            next_spawn = next(spawns, coin_end)
+            next_spawn = next(spawns, n)
             kind = kinds[q]
             if kind == _VOID:
                 continue

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from randcert import borel
 from randcert.bayes import (
+    BOUND_MAX_N,
     bayes_bound_lhs,
     bayes_bound_rhs,
     bayes_bound_test,
@@ -16,7 +17,6 @@ from randcert.bayes import (
     posterior,
 )
 from randcert.blockstats import BlockCounts
-from randcert.errors import NumericError
 from randcert.partitions import PartitionModel, enumerate_partitions
 from randcert.specialfn import log_gamma
 
@@ -177,9 +177,16 @@ class TestBayesBoundRhs:
             assert bayes_bound_rhs(n, i) == pytest.approx(rhs_by_mpmath(n, i), rel=1e-12), n
 
     def test_overflowing_n_squared_is_refused(self):
-        # n * n is inf for a float n = 1e300, so the radicand reads 0.0
-        with pytest.raises(NumericError, match="non-positive radicand 0.0 "):
-            bayes_bound_rhs(1e300, 1)
+        # n * n converts to no float here, so n is refused before it is squared
+        for n in (1e300, BOUND_MAX_N + 1, 2**512 - 1, 2**512, 10**400):
+            with pytest.raises(ValueError, match=rf"^bound needs n <= {BOUND_MAX_N} \(just under "):
+                bayes_bound_rhs(n, 1)
+
+    @pytest.mark.parametrize("i", [1, 8])
+    def test_largest_n_matches_mpmath(self, i):
+        assert (BOUND_MAX_N + 1) ** 2 >= borel.FLOAT_INT_END > BOUND_MAX_N**2
+        expected = rhs_by_mpmath(BOUND_MAX_N, i)
+        assert bayes_bound_rhs(BOUND_MAX_N, i) == pytest.approx(expected, rel=1e-12)
 
 
 class TestBayesBoundLhs:

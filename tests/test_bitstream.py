@@ -1,6 +1,8 @@
+import contextlib
 import hashlib
 import os
 import re
+import threading
 import tracemalloc
 
 import numpy as np
@@ -13,6 +15,34 @@ from randcert.bitstream import BitSequence
 from randcert.errors import FormatError
 
 from conftest import bits_from_string
+
+
+@contextlib.contextmanager
+def _packed_source(tmp_path, raw: bytes, pipe: bool):
+    """A path that reads raw: a regular file, or the read end of a pipe that
+    one writer thread fills, so raw may be larger than the pipe's buffer."""
+    if not pipe:
+        (tmp_path / "p.bin").write_bytes(raw)
+        yield tmp_path / "p.bin"
+        return
+    r, w = os.pipe()
+
+    def fill():
+        try:
+            view, done = memoryview(raw), 0
+            while done < len(raw):
+                done += os.write(w, view[done:])
+        finally:
+            os.close(w)
+
+    writer = threading.Thread(target=fill)
+    writer.start()
+    try:
+        yield f"/dev/fd/{r}"  # /dev/fd names the read end
+    finally:
+        os.close(r)  # a writer still blocked fails instead of hanging
+        writer.join(timeout=60)
+    assert not writer.is_alive()
 
 
 class TestLoadAscii:
@@ -138,48 +168,48 @@ class TestLoadPacked:
     def test_n_past_the_end_is_refused(self, tmp_path, pipe, read):
         """An n past the end is refused when the input ends, with the file's
         bit count, from a pipe as from a file."""
-        raw = b"\xab\xcd\xef"
-        if not pipe:
-            (tmp_path / "p.bin").write_bytes(raw)
-            path = tmp_path / "p.bin"
-        else:
-            r, w = os.pipe()
-            os.write(w, raw)
-            os.close(w)
-            path = f"/dev/fd/{r}"
-        try:
+        with _packed_source(tmp_path, b"\xab\xcd\xef", pipe) as path:
             with pytest.raises(ValueError, match=r"^requested n=25 but file holds only 24 bits$"):
                 read(path)
-        finally:
-            if pipe:
-                os.close(r)
 
+    @pytest.mark.parametrize("pipe", [False, True], ids=["file", "pipe"])
     @pytest.mark.parametrize("n", [10**9, 10**12], ids=["1e9", "1e12"])
-    def test_n_far_past_a_short_file_is_refused_without_allocating_it(self, tmp_path, n):
-        """The one read of load_packed asks for no more than the file holds:
-        10**12 bits would be a 125 GB buffer, and used to raise MemoryError."""
-        p = tmp_path / "one.bin"
-        p.write_bytes(b"\x01")
-        tracemalloc.start()
-        try:
-            with pytest.raises(ValueError, match=rf"^requested n={n} but file holds only 8 bits$"):
-                bitstream.load_packed(p, n)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+    def test_n_far_past_a_short_file_is_refused_without_allocating_it(self, tmp_path, n, pipe):
+        """No read of load_packed asks for more than one chunk: 10**12 bits
+        would be a 125 GB buffer, and used to raise MemoryError, from a file
+        and then from a pipe."""
+        with _packed_source(tmp_path, b"\x01", pipe) as path:
+            tracemalloc.start()
+            try:
+                refused = rf"^requested n={n} but file holds only 8 bits$"
+                with pytest.raises(ValueError, match=refused):
+                    bitstream.load_packed(path, n)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
         assert peak < 1 << 20
 
-    def test_whole_file_read_once(self, tmp_bits_file):
+    @staticmethod
+    def _load_peak(tmp_path, pipe: bool) -> None:
+        """load_packed joins its chunks in one buffer: the peak is one copy of
+        the bits, the buffer's growth by an eighth and one chunk in flight."""
         size = 4 << 20
-        p = tmp_bits_file("p.bin", bytes(range(256)) * (size // 256), binary=True)
-        tracemalloc.start()
-        try:
-            seq = bitstream.load_packed(p)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert seq.n == 8 * size
+        raw = bytes(range(256)) * (size // 256)
+        with _packed_source(tmp_path, raw, pipe) as path:
+            tracemalloc.start()
+            try:
+                seq = bitstream.load_packed(path)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert seq == BitSequence(raw, 8 * size)
         assert peak < 1.25 * size
+
+    def test_whole_file_read_once(self, tmp_path):
+        self._load_peak(tmp_path, pipe=False)
+
+    def test_whole_pipe_read_once(self, tmp_path):
+        self._load_peak(tmp_path, pipe=True)
 
 
 class TestFromBytes:

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -22,6 +23,14 @@ class TestBorelBound:
     def test_domain(self):
         with pytest.raises(ValueError):
             borel_bound(1)
+
+    def test_n_past_the_largest_float_is_refused(self):
+        end = borel.FLOAT_INT_END
+        assert float(end - 1) == sys.float_info.max
+        assert borel_bound(end - 1) == math.sqrt(1024 / sys.float_info.max)
+        for n in (end, 2**1024, 10**400):
+            with pytest.raises(ValueError, match=r"^bound needs n < 2\^1024 - 2\^970, "):
+                borel_bound(n)
 
 
 class TestDeviations:

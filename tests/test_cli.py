@@ -167,15 +167,20 @@ class TestBounds:
 @pytest.mark.parametrize(
     "argv, error",
     [
-        (["bounds", str(10**400)], "int too large to convert to float"),
-        (["bounds", str(2**1023)], "int too large to convert to float"),
+        (["bounds", str(10**400)], "bound needs n < 2^1024 - 2^970, where floats end, got n="),
+        (["bounds", str(2**1023)], "bound needs n <= 1340780792994259672743259815885511300172"),
+        (["bounds", str(2**512 - 1)], "bound needs n <= 1340780792994259672743259815885511300172"),
+        (["bounds", str(2**512)], "bound needs n <= 1340780792994259672743259815885511300172"),
         (
             ["extract", "{tags}", "--format", "text", "--kind", "timestamps",
              "--divisor", str(10**30), "--out", "{out}"],
             f"divisor {10**30} exceeds 2^63 - 1",
         ),
     ],
-    ids=["bounds-beyond-float", "bounds-2^1023", "extract-huge-divisor"],
+    ids=[
+        "bounds-beyond-float", "bounds-2^1023", "bounds-2^512-1", "bounds-2^512",
+        "extract-huge-divisor",
+    ],
 )
 def test_out_of_range_number_is_usage_error(tmp_path, capsys, argv, error):
     tags = tmp_path / "t.txt"
