@@ -120,11 +120,16 @@ def _fold_windows(periods: np.ndarray, levels: list[int]) -> dict[int, np.ndarra
     the last block of a period ends on the period boundary, so no window
     leaves it. One walk, _SLAB periods at a time, histograms each window
     that a block crosses (2^16 bins) and each byte that no window covers
-    (256 bins), and folds each window's histogram into its crossing blocks'
-    counts and its two bytes' histograms before the next window is counted,
-    so only one window histogram is held at a time. The blocks inside one
-    byte are folded at the end, once per (level, skip), from the summed
-    histograms of the bytes that hold such a block.
+    (256 bins). Each window's histogram is reduced at most three times
+    before the next window is counted, so only one is held at a time: once
+    over its leading bits to the marginal of the bits from the first that
+    its crossing blocks read, from which each of those blocks is folded,
+    and once for each of its two bytes, as the row and column sums of a
+    (256, 256) view. (Summing over a leading axis walks contiguous rows;
+    summing out short trailing runs of the full histogram costs several
+    times as much.) The blocks inside one byte are folded at the end, once
+    per (level, skip), from the summed histograms of the bytes that hold
+    such a block.
     """
     pbytes = periods.shape[1]
     # (level, byte, skip) of every block in one period
@@ -133,6 +138,7 @@ def _fold_windows(periods: np.ndarray, levels: list[int]) -> dict[int, np.ndarra
     for i, b, s in blocks:
         if s + i > 8:
             windows.setdefault(b, []).append((i, s))
+    first = {b: min(s for _, s in ws) for b, ws in windows.items()}  # first bit read
     counts = {i: np.zeros(1 << i, dtype=np.int64) for i in levels}
     byte_hists = np.zeros((pbytes, 256), dtype=np.int64)
     for a in range(0, len(periods), _SLAB):
@@ -140,12 +146,15 @@ def _fold_windows(periods: np.ndarray, levels: list[int]) -> dict[int, np.ndarra
         for p in range(pbytes):
             if p in windows:
                 hist = np.bincount(slab[:, p : p + 2].view(">u2")[:, 0], minlength=1 << 16)
+                lo = first[p]
+                tail = hist.reshape(1 << lo, -1).sum(axis=0)  # bits lo..15
                 for i, s in windows[p]:
-                    counts[i] += _fold(hist, 16, s, i)
-                byte_hists[p] += _fold(hist, 16, 0, 8)
+                    counts[i] += _fold(tail, 16 - lo, s - lo, i)
+                pair = hist.reshape(256, 256)  # (this byte, the next)
+                byte_hists[p] += pair.sum(axis=1)
                 if p + 1 not in windows:
-                    byte_hists[p + 1] += _fold(hist, 16, 8, 8)
-                del hist  # freed before the next window's bincount
+                    byte_hists[p + 1] += pair.sum(axis=0)
+                del hist, pair, tail  # freed before the next window's bincount
             elif p - 1 not in windows:
                 byte_hists[p] += np.bincount(slab[:, p], minlength=256)
     inside = {}  # (level, skip) -> bytes holding such a block whole

@@ -8,15 +8,15 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import itertools
-import json
 import os
-import shutil
 import sys
 
-from . import bayes, bitstream, blockstats, borel, extract, partitions, simgen
 from .errors import RandcertError
+
+# Each command imports the library modules it runs, so `randcert --help`, a
+# usage error and each command start without the modules (and numpy) that
+# they do not need.
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -33,6 +33,8 @@ ANALYZE_LEVEL4_MAX_BLOCKS = 2
 def _count_input(args, levels: int | None):
     """n and block counts at levels 1..check_levels(n, levels) of the input,
     from the one streamed pass that analyze and posterior share."""
+    from . import blockstats
+
     if args.format == "ascii" and args.bits is not None:
         raise ValueError("--bits applies to packed input only")  # the file states its length
     return blockstats.stream_level_counts(args.input, args.format, args.bits, levels)
@@ -46,7 +48,10 @@ def _write(chunks, path: str, fmt: str) -> None:
     first = next(chunks, None)
     chunks = chunks if first is None else itertools.chain([first], chunks)
     # looked up when called, so a writer replaced on its module is the one that runs
-    module = extract if fmt.startswith("timetags-") else bitstream
+    if fmt.startswith("timetags-"):
+        from . import extract as module
+    else:
+        from . import bitstream as module
     with _output(path) as target:
         getattr(module, "write_" + fmt.replace("-", "_"))(chunks, target)
 
@@ -96,6 +101,8 @@ def _check_room(path: str, fmt: str, n: int) -> None:
     """Refuse an output of n bits or time tags whose smallest size exceeds
     the free space beside a regular --out, before anything is written. The
     smallest time-tag text is one digit and a newline per tag."""
+    import shutil
+
     if _in_place(path):
         return
     least = {"packed": (n + 7) // 8, "ascii": n + 1, "timetags-text": 2 * n, "timetags-binary": 8 * n}
@@ -110,7 +117,15 @@ def _check_room(path: str, fmt: str, n: int) -> None:
         )
 
 
+def _summary(args):
+    """Where a command prints its text summary: stderr when --json - takes
+    stdout, so that stdout holds only the JSON report."""
+    return sys.stderr if args.json == "-" else sys.stdout
+
+
 def _emit_json(obj, path: str | None) -> None:
+    import json
+
     if path is None:
         return
     if path == "-":
@@ -122,6 +137,8 @@ def _emit_json(obj, path: str | None) -> None:
 
 
 def cmd_analyze(args) -> int:
+    from . import bayes, blockstats, borel
+
     n, counts = _count_input(args, args.max_level)
     borel_reports = borel.borel_test(n, counts=counts)
     bound_reports = bayes.bayes_bound_test(n, counts=counts)
@@ -132,6 +149,8 @@ def cmd_analyze(args) -> int:
         "bayes_bound": borel.reports_to_json_dict(n, bound_reports),
     }
     if args.bayes_posterior:
+        from . import partitions
+
         posterior_levels = []
         for c in counts[:POSTERIOR_MAX_LEVEL]:
             cap = ANALYZE_LEVEL4_MAX_BLOCKS if (1 << c.level) > 8 else None
@@ -143,6 +162,8 @@ def cmd_analyze(args) -> int:
     report["overall"] = overall
     _emit_json(report, args.json)
     if args.csv:
+        import csv
+
         rhs_by_level = {r.level: r.rhs for r in bound_reports}
         with open(args.csv, "w", newline="") as fh:
             w = csv.writer(fh)
@@ -150,24 +171,29 @@ def cmd_analyze(args) -> int:
             for level, bits, dev, bound in borel.reports_to_csv_rows(borel_reports):
                 w.writerow([level, bits, repr(dev), repr(bound), repr(rhs_by_level[level])])
 
-    print(f"n = {n}, levels 1..{len(counts)} (i_max = {blockstats.max_borel_level(n)})")
+    out = _summary(args)
+    print(f"n = {n}, levels 1..{len(counts)} (i_max = {blockstats.max_borel_level(n)})", file=out)
     for r in borel_reports:
         print(
             f"  borel level {r.level}: max |dev| = {r.max_abs_deviation:.6g} "
             f"{'<' if r.passes else '>='} bound {r.bound:.6g} -> "
-            f"{'pass' if r.passes else 'FAIL'}"
+            f"{'pass' if r.passes else 'FAIL'}",
+            file=out,
         )
     for r in bound_reports:
         print(
             f"  bayes level {r.level}: lhs = {r.lhs:.6g} "
             f"{'<' if r.passes else '>='} rhs {r.rhs:.6g} -> "
-            f"{'pass' if r.passes else 'FAIL'}"
+            f"{'pass' if r.passes else 'FAIL'}",
+            file=out,
         )
-    print(f"overall: {'pass' if overall else 'FAIL'}")
+    print(f"overall: {'pass' if overall else 'FAIL'}", file=out)
     return EXIT_PASS if overall else EXIT_FAIL
 
 
 def cmd_bounds(args) -> int:
+    from . import bayes, blockstats, borel
+
     n = args.n
     levels = blockstats.check_levels(n, args.levels)
     bb = borel.borel_bound(n)
@@ -176,14 +202,17 @@ def cmd_bounds(args) -> int:
         for i in range(1, levels + 1)
     ]
     _emit_json({"n": n, "bounds": rows}, args.json)
-    print(f"n = {n}, i_max = {blockstats.max_borel_level(n)}")
-    print(f"{'level':>5}  {'borel_bound':>14}  {'bayes_rhs':>14}")
+    out = _summary(args)
+    print(f"n = {n}, i_max = {blockstats.max_borel_level(n)}", file=out)
+    print(f"{'level':>5}  {'borel_bound':>14}  {'bayes_rhs':>14}", file=out)
     for row in rows:
-        print(f"{row['i']:>5}  {row['borel_bound']:>14.6g}  {row['bayes_rhs']:>14.6g}")
+        print(f"{row['i']:>5}  {row['borel_bound']:>14.6g}  {row['bayes_rhs']:>14.6g}", file=out)
     return EXIT_PASS
 
 
 def cmd_extract(args) -> int:
+    from . import blockstats, extract
+
     n = ones = 0
     tags = extract.stream_timetags(args.input, args.format, args.kind)
 
@@ -210,6 +239,8 @@ def cmd_extract(args) -> int:
 
 
 def cmd_generate(args) -> int:
+    from . import simgen
+
     cfg = simgen.GeneratorConfig(
         kind=args.kind,
         n=args.n,
@@ -236,6 +267,8 @@ def cmd_generate(args) -> int:
 
 
 def cmd_posterior(args) -> int:
+    from . import bayes, partitions
+
     _, per_level = _count_input(args, args.level)
     counts = per_level[-1]  # levels 1..i share one walk; level i is scored
     i = counts.level
@@ -247,11 +280,11 @@ def cmd_posterior(args) -> int:
     models = list(partitions.enumerate_partitions(1 << i, args.max_blocks))
     table = bayes.posterior(counts, models)
     _emit_json(table.to_json_dict(), args.json)
-    best = table.models[table.best_index]
-    print(f"level {i}: {len(models)} models")
-    print(f"  best model: {best.rgs_string()} (posterior {table.posteriors[table.best_index]:.6g})")
+    best, out = table.models[table.best_index], _summary(args)
+    print(f"level {i}: {len(models)} models", file=out)
+    print(f"  best model: {best.rgs_string()} (posterior {table.posteriors[table.best_index]:.6g})", file=out)
     if table.symmetric_posterior is not None:
-        print(f"  symmetric-model posterior: {table.symmetric_posterior:.6g}")
+        print(f"  symmetric-model posterior: {table.symmetric_posterior:.6g}", file=out)
     return EXIT_PASS if best.is_symmetric else EXIT_FAIL
 
 

@@ -1,3 +1,5 @@
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -6,6 +8,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+import randcert
 from randcert.bitstream import BitSequence
 
 
@@ -34,3 +37,17 @@ def make_counts(level, mapping, total=None):
     for j, c in mapping.items():
         arr[j] = c
     return BlockCounts(level, arr, total if total is not None else int(arr.sum()))
+
+
+def run_python(code: str, *args: str, cwd=None) -> subprocess.CompletedProcess:
+    """Run code in a fresh interpreter that imports this checkout's randcert."""
+    src = str(Path(randcert.__file__).parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", code, *args],
+        capture_output=True,
+        text=True,
+        check=True,
+        cwd=cwd,
+        env={**os.environ, "PYTHONPATH": path},
+    )

@@ -3,21 +3,18 @@ import json
 import math
 import os
 import shutil
-import subprocess
 import sys
 import threading
 import warnings
-from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-import randcert
 from randcert import bitstream, blockstats, extract, simgen
 from randcert.cli import EXIT_ERROR, EXIT_FAIL, EXIT_PASS, main
 
-from conftest import bits_from_string
+from conftest import bits_from_string, run_python
 
 
 @pytest.fixture(scope="module")
@@ -678,22 +675,83 @@ class TestPosterior:
         assert rc in (EXIT_PASS, EXIT_FAIL)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "{f}", "--format", "packed", "--bayes-posterior"],
+        ["bounds", "1048576"],
+        ["posterior", "{f}", "--format", "packed", "--level", "2"],
+    ],
+    ids=["analyze", "bounds", "posterior"],
+)
+def test_json_to_stdout_is_the_only_stdout(unbiased_file, tmp_path, capsys, argv):
+    argv = [a.format(f=unbiased_file) for a in argv]
+    code = main(argv + ["--json", str(tmp_path / "r.json")])
+    summary = capsys.readouterr().out
+    assert main(argv + ["--json", "-"]) == code
+    out, err = capsys.readouterr()
+    assert json.loads(out) == json.loads((tmp_path / "r.json").read_text())
+    assert err == summary  # the text summary moves to stderr, unchanged
+
+
 def test_usage_error_exit_code():
     assert main(["analyze"]) == EXIT_ERROR
     assert main([]) == EXIT_ERROR
 
 
+# Run main in a fresh interpreter; print its exit code and the randcert, numpy,
+# scipy and concurrent.futures modules it loaded, as the last line of stdout.
+_LOADED = """import json, sys
+from randcert.cli import main
+code = main(sys.argv[1:])
+watched = ("randcert", "numpy", "scipy", "concurrent")
+print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] in watched)]))
+"""
+
+
+def _loaded(argv, cwd=None):
+    code, modules = json.loads(run_python(_LOADED, *argv, cwd=cwd).stdout.splitlines()[-1])
+    return code, set(modules)
+
+
 def test_cli_import_leaves_slow_modules_unloaded():
-    # scipy is most of a start's import time, and concurrent.futures about 10 ms
-    # of it; each is imported by the one function that needs it
-    code = "import sys, randcert.cli; print('scipy' in sys.modules, 'concurrent.futures' in sys.modules)"
-    src = str(Path(randcert.__file__).parent.parent)
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        check=True,
-        env={**os.environ, "PYTHONPATH": path},
-    )
-    assert out.stdout.split() == ["False", "False"]
+    # numpy is most of a start's import time: help and usage errors start
+    # without it, and without any library module; scipy and concurrent.futures
+    # are imported by the one function that needs each
+    for argv, expected in [(["--help"], EXIT_PASS), (["analyze", "--help"], EXIT_PASS), (["analyze"], EXIT_ERROR)]:
+        code, modules = _loaded(argv)
+        assert code == expected
+        assert modules == {"randcert", "randcert.cli", "randcert.errors"}, argv
+
+
+_COUNTING = {"bitstream", "blockstats", "borel", "bayes", "partitions", "specialfn"}
+_LOADS = [
+    (["analyze", "b.bin", "--format", "packed"], _COUNTING),
+    (["analyze", "b.bin", "--format", "packed", "--bayes-posterior"], _COUNTING),
+    (["posterior", "b.bin", "--format", "packed", "--level", "2"], _COUNTING),
+    (["bounds", "1048576"], _COUNTING),
+    (["generate", "--kind", "bernoulli", "--n", "64", "--seed", "1", "--out", "g.bin"],
+     {"bitstream", "extract", "simgen"}),
+    (["generate", "--kind", "detector", "--n", "64", "--seed", "1", "--out", "g.txt",
+      "--out-format", "timetags-text"], {"bitstream", "extract", "simgen"}),
+    (["extract", "t.txt", "--format", "text", "--kind", "timestamps", "--out", "e.bin"],
+     {"bitstream", "blockstats", "extract"}),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, library",
+    _LOADS,
+    ids=["analyze", "analyze-posterior", "posterior", "bounds", "generate-bits", "generate-tags", "extract"],
+)
+def test_command_loads_only_its_modules(tmp_path, argv, library):
+    bitstream.write_packed(bits_from_string("0110" * 64), tmp_path / "b.bin")
+    (tmp_path / "t.txt").write_text("100\n250\n400\n")
+    code, modules = _loaded(argv, cwd=tmp_path)
+    assert code in (EXIT_PASS, EXIT_FAIL)
+    assert {m for m in modules if m.startswith("randcert")} == {
+        "randcert", "randcert.cli", "randcert.errors", *(f"randcert.{m}" for m in library)
+    }
+    assert "numpy" in modules
+    assert ("numpy.random" in modules) == (argv[0] == "generate")
+    assert not {m for m in modules if m.split(".")[0] in ("scipy", "concurrent")}
