@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import itertools
 import os
 import sys
 
@@ -42,11 +41,8 @@ def _count_input(args, levels: int | None):
 
 def _write(chunks, path: str, fmt: str) -> None:
     """Write a stream of chunks in an output format, each chunk as it is made.
-    The first chunk is made before the output is opened, so a fault in it is
-    reported before one in --out."""
-    chunks = iter(chunks)
-    first = next(chunks, None)
-    chunks = chunks if first is None else itertools.chain([first], chunks)
+    The output is opened before the first chunk is made, so a fault in --out
+    is reported before one in the input."""
     # looked up when called, so a writer replaced on its module is the one that runs
     if fmt.startswith("timetags-"):
         from . import extract as module
@@ -118,9 +114,12 @@ def _check_room(path: str, fmt: str, n: int) -> None:
 
 
 def _summary(args):
-    """Where a command prints its text summary: stderr when --json - takes
-    stdout, so that stdout holds only the JSON report."""
-    return sys.stderr if args.json == "-" else sys.stdout
+    """Where a command prints its text summary: stderr when stdout may carry
+    the command's output, the JSON report of --json - or the data of an --out
+    written in place, such as /dev/stdout, so that stdout holds only that."""
+    if getattr(args, "json", None) == "-" or ("out" in args and _in_place(args.out)):
+        return sys.stderr
+    return sys.stdout
 
 
 def _emit_json(obj, path: str | None) -> None:
@@ -213,12 +212,12 @@ def cmd_bounds(args) -> int:
 def cmd_extract(args) -> int:
     from . import blockstats, extract
 
+    extract.check_divisor(args.divisor)  # before --out and the input are opened
     n = ones = 0
-    tags = extract.stream_timetags(args.input, args.format, args.kind)
 
     def bits():
         nonlocal n, ones
-        for series in tags:
+        for series in extract.stream_timetags(args.input, args.format, args.kind):
             if series.kind == extract.TIMESTAMPS:
                 series = extract.interarrivals(series)
             if len(series) == 0:
@@ -228,13 +227,8 @@ def cmd_extract(args) -> int:
             ones += blockstats.count_blocks(seq, 1).counts[1]
             yield seq
 
-    try:
-        _write(bits(), args.out, args.out_format)
-    except (RandcertError, ValueError, OSError):
-        for _ in tags:  # a fault further on in the input comes first, as when it was read whole
-            pass
-        raise
-    print(f"extracted n = {n} bits, ones fraction = {ones / n:.6f}")
+    _write(bits(), args.out, args.out_format)
+    print(f"extracted n = {n} bits, ones fraction = {ones / n:.6f}", file=_summary(args))
     return EXIT_PASS
 
 
@@ -262,7 +256,7 @@ def cmd_generate(args) -> int:
         out = (simgen.stream_bernoulli if cfg.kind == simgen.BERNOULLI else simgen.stream_markov)(cfg)
     _check_room(args.out, args.out_format, cfg.n)
     _write(out, args.out, args.out_format)
-    print(f"wrote {args.out} ({cfg.kind}, n = {cfg.n}, seed = {cfg.seed})")
+    print(f"wrote {args.out} ({cfg.kind}, n = {cfg.n}, seed = {cfg.seed})", file=_summary(args))
     return EXIT_PASS
 
 

@@ -67,14 +67,19 @@ def interarrivals(series: TimeTagSeries) -> TimeTagSeries:
     return TimeTagSeries(np.diff(series.values), series.unit, INTERARRIVALS)
 
 
-def timetags_to_bits(series: TimeTagSeries, divisor: int = 1) -> BitSequence:
-    """Parity extraction: bit = floor(value / divisor) mod 2 (even -> 0)."""
-    if series.kind != INTERARRIVALS:
-        raise ValueError("timetags_to_bits() expects interarrivals; difference first")
+def check_divisor(divisor: int) -> None:
+    """Refuse a divisor outside 1 .. 2^63 - 1, the range of the time tags."""
     if divisor < 1:
         raise ValueError(f"divisor must be a positive integer, got {divisor}")
     if divisor > _INT64_MAX:
         raise ValueError(f"divisor {divisor} exceeds 2^63 - 1, the largest time tag")
+
+
+def timetags_to_bits(series: TimeTagSeries, divisor: int = 1) -> BitSequence:
+    """Parity extraction: bit = floor(value / divisor) mod 2 (even -> 0)."""
+    if series.kind != INTERARRIVALS:
+        raise ValueError("timetags_to_bits() expects interarrivals; difference first")
+    check_divisor(divisor)
     return BitSequence.from_bits(((series.values // divisor) & 1).astype(np.uint8))
 
 
@@ -84,7 +89,7 @@ _READ = 1 << 20  # bytes read at a time; a multiple of 8, so binary reads end be
 _MAX_LINE = 1 << 20
 
 
-def stream_timetags(path, fmt: str, kind: str, unit: str = "") -> Iterator[TimeTagSeries]:
+def stream_timetags(path, fmt: str, kind: str) -> Iterator[TimeTagSeries]:
     """Yield the series of a time-tag file ("text" or "binary" fmt) in chunks,
     reading _READ bytes at a time.
 
@@ -114,7 +119,7 @@ def stream_timetags(path, fmt: str, kind: str, unit: str = "") -> Iterator[TimeT
                 held = chunk
                 continue
             try:
-                series = _series_at(chunk[: take + overlap], unit, kind, base)
+                series = _series_at(chunk[: take + overlap], kind, base)
             except DataError as exc:
                 fault = exc
                 continue
@@ -123,14 +128,14 @@ def stream_timetags(path, fmt: str, kind: str, unit: str = "") -> Iterator[TimeT
     if fault is not None:
         raise fault
     if held.size > overlap or not yielded:
-        yield _series_at(held, unit, kind, base)
+        yield _series_at(held, kind, base)
 
 
-def _series_at(values: np.ndarray, unit: str, kind: str, base: int) -> TimeTagSeries:
-    """TimeTagSeries(values, unit, kind), with a decrease reported at its
+def _series_at(values: np.ndarray, kind: str, base: int) -> TimeTagSeries:
+    """TimeTagSeries(values, "", kind), with a decrease reported at its
     index in the whole series, in which values[0] has index base."""
     try:
-        return TimeTagSeries(values, unit, kind)
+        return TimeTagSeries(values, "", kind)
     except DataError as exc:
         raise _decrease(values, exc.index, base) from None
 
@@ -143,7 +148,7 @@ def _joined(chunks: Iterator[TimeTagSeries]) -> TimeTagSeries:
     return TimeTagSeries(values, first.unit, first.kind)
 
 
-def load_timetags_text(path, kind: str, unit: str = "") -> TimeTagSeries:
+def load_timetags_text(path, kind: str) -> TimeTagSeries:
     """One tag per line; digit groups may be separated by spaces (e.g.
     "592 342 ps"); a trailing non-numeric unit token is ignored. Drains
     stream_timetags.
@@ -155,7 +160,7 @@ def load_timetags_text(path, kind: str, unit: str = "") -> TimeTagSeries:
     and CRLF included, goes to the line parser, which gives the same values
     and reports errors with their line numbers.
     """
-    return _joined(stream_timetags(path, "text", kind, unit))
+    return _joined(stream_timetags(path, "text", kind))
 
 
 def _text_values(fh) -> Iterator[np.ndarray]:
@@ -178,9 +183,7 @@ def _text_values(fh) -> Iterator[np.ndarray]:
         if after_cr and data.startswith(b"\n"):  # the end of a "\r\n" split by the cut
             lineno -= 1
         after_cr = data.endswith(b"\r")
-        values = _fixed_width(data)
-        if values is None and _is_plain(data):  # one value a line
-            values = np.fromstring(data, dtype=np.int64, sep="\n")
+        values = _plain_values(data)
         if values is not None:
             lines = values.size
         else:
@@ -195,45 +198,37 @@ def _text_values(fh) -> Iterator[np.ndarray]:
 _PLAIN_MAX_DIGITS = 18  # 10**18 - 1 < 2**63 - 1, so no plain value overflows int64
 
 
-def _fixed_width(raw: bytes) -> np.ndarray | None:
-    """The values of raw when its lines all have one width, each 1-18 ASCII
-    digits ended by "\\n", parsed from a (lines, width) digit matrix by
-    Horner's rule over its columns; None for any other raw."""
-    width = raw.find(b"\n") + 1
-    if not 2 <= width <= _PLAIN_MAX_DIGITS + 1 or len(raw) % width:
-        return None
+def _plain_values(raw: bytes) -> np.ndarray | None:
+    """The values of raw when every line is 1-18 ASCII digits ended by "\\n"
+    (the last newline may be missing), else None, for the line parser. The
+    read is checked once; then lines of one width are parsed from a (lines,
+    width) digit matrix by Horner's rule over its columns, and others by
+    np.fromstring(sep="\\n"), which parses exactly such lines right."""
+    if not raw:
+        return np.empty(0, dtype=np.int64)
+    if not raw.endswith(b"\n"):
+        raw += b"\n"
     b = np.frombuffer(raw, dtype=np.uint8)
+    if b.max() > ord("9"):
+        return None
+    ends = np.flatnonzero(b < ord("0"))
+    if (b[ends] != ord("\n")).any():  # a byte below "0" other than "\n"
+        return None
+    line_bytes = np.diff(ends, prepend=-1)  # digits plus the newline
+    # Both limits guard correctness: np.fromstring reads an empty line as 0
+    # ("\n" gives [0]) and silently clamps any value >= 2**63 to 2**63 - 1.
+    narrow, width = int(line_bytes.min()), int(line_bytes.max())
+    if narrow < 2 or width > _PLAIN_MAX_DIGITS + 1:
+        return None
+    if narrow < width:
+        return np.fromstring(raw, dtype=np.int64, sep="\n")
     rows = b.reshape(-1, width)
-    # every byte a digit but the one below "0" that ends each row, a "\n"
-    if b.max() > ord("9") or np.count_nonzero(b < ord("0")) != rows.shape[0]:
-        return None
-    if (rows[:, -1] != ord("\n")).any():
-        return None
     values = rows[:, 0].astype(np.int64)
     for k in range(1, width - 1):
         values *= 10
         values += rows[:, k]
     values -= ord("0") * (10 ** (width - 1) - 1) // 9  # each digit's "0", as 48 * 11...1
     return values
-
-
-def _is_plain(raw: bytes) -> bool:
-    """Whether every line is 1-18 ASCII digits ended by "\\n" (the last may be
-    missing), which is exactly what np.fromstring(raw, sep="\\n") parses right."""
-    b = np.frombuffer(raw, dtype=np.uint8)
-    if b.size and b.max() > ord("9"):
-        return False
-    ends = np.flatnonzero(b == ord("\n"))
-    if np.count_nonzero(b < ord("0")) != ends.size:  # a byte below "0" other than "\n"
-        return False
-    if raw and not raw.endswith(b"\n"):
-        ends = np.append(ends, len(raw))
-    line_bytes = np.diff(ends, prepend=-1)  # digits plus the newline
-    # Both limits guard correctness: np.fromstring reads an empty line as 0
-    # ("\n" gives [0]) and silently clamps any value >= 2**63 to 2**63 - 1.
-    return not line_bytes.size or (
-        line_bytes.min() >= 2 and line_bytes.max() <= _PLAIN_MAX_DIGITS + 1
-    )
 
 
 def _parse_lines(raw: bytes, lineno: int = 0) -> np.ndarray:
@@ -264,9 +259,9 @@ def _parse_lines(raw: bytes, lineno: int = 0) -> np.ndarray:
     return np.asarray(values, dtype=np.int64)
 
 
-def load_timetags_binary(path, kind: str, unit: str = "") -> TimeTagSeries:
+def load_timetags_binary(path, kind: str) -> TimeTagSeries:
     """64-bit little-endian unsigned integers. Drains stream_timetags."""
-    return _joined(stream_timetags(path, "binary", kind, unit))
+    return _joined(stream_timetags(path, "binary", kind))
 
 
 def _binary_values(fh) -> Iterator[np.ndarray]:

@@ -154,27 +154,24 @@ def _arrivals(bg, clock: float, mean: float) -> tuple[np.ndarray, np.ndarray]:
 
 def _kept_arrivals(
     arrival_t: np.ndarray, arrival_d: np.ndarray, last: list[float], tau: float
-) -> np.ndarray | None:
+) -> tuple[np.ndarray, int]:
     """Which arrivals of a refill the dead time keeps when no after-pulse
-    comes between them, from the last recorded times given, or None where
-    conflicts are dense: when more than one arrival in _DENSE is the second
-    or later of a run of arrivals each within tau of the one before it on
-    its detector.
+    comes between them, from the last recorded times given, and how many
+    arrivals it walked in Python: those that are the second or later of a
+    run of arrivals each within tau of the one before it on its detector.
 
     An arrival tau or more after the one before it on its detector is kept,
     whatever happened to that one; the first of a run of closer arrivals is
     dropped, and the rest of the run is walked against the last kept time.
     The differences are the loop's own float subtractions."""
-    runs = []
+    keep = np.empty(arrival_t.size, dtype=bool)
+    walked = 0
     for det in (0, 1):
         idx = np.flatnonzero(arrival_d == det)
         t = arrival_t[idx]
         close = np.diff(t, prepend=last[det]) < tau
-        runs.append((idx, t, close, np.flatnonzero(close[1:] & close[:-1]) + 1))
-    if _DENSE * sum(chained.size for *_, chained in runs) > arrival_t.size:
-        return None
-    keep = np.empty(arrival_t.size, dtype=bool)
-    for det, (idx, t, close, chained) in enumerate(runs):
+        chained = np.flatnonzero(close[1:] & close[:-1]) + 1
+        walked += chained.size
         kept = ~close
         after = -1  # the chained arrival before, or -1
         for j in chained.tolist():
@@ -185,7 +182,7 @@ def _kept_arrivals(
                 last_kept = t[j]
             after = j
         keep[idx] = kept
-    return keep
+    return keep, walked
 
 
 def _pulse_kinds(kept_t: np.ndarray, kept_d: np.ndarray, tau: float, delay: float) -> np.ndarray:
@@ -411,20 +408,17 @@ def _detector_runs(cfg: GeneratorConfig) -> Iterator[tuple[np.ndarray, np.ndarra
     while recorded < n:
         arrival_t, arrival_d = _arrivals(arrival_bg, clock, cfg.mean_interarrival)
         clock = float(arrival_t[-1])
-        keep = None if dense else _kept_arrivals(arrival_t, arrival_d, last, tau)
-        dense = keep is None  # arrivals are stationary: later refills would be dense too
-        kept = np.flatnonzero(keep).astype(np.int32) if keep is not None else np.empty(0, np.int32)
-        kept_t, kept_d = arrival_t[kept], arrival_d[kept]
-        m = kept.size
-        kinds = b""
-        if keep is not None and prob > 0:
-            kinds = _pulse_kinds(kept_t, kept_d, tau, delay)
+        if not dense:  # arrivals are stationary: once a refill is dense, later ones would be too
+            keep, chained = _kept_arrivals(arrival_t, arrival_d, last, tau)
+            kept = np.flatnonzero(keep).astype(np.int32)
+            kept_t, kept_d = arrival_t[kept], arrival_d[kept]
+            m = kept.size
+            kinds = _pulse_kinds(kept_t, kept_d, tau, delay) if prob > 0 else np.empty(0, np.int8)
             handoffs = np.count_nonzero(kinds == _HANDOFF) + prob * np.count_nonzero(kinds == _LONE)
-            if _DENSE * prob * handoffs > _BATCH:
-                keep, dense = None, True  # expected hand-overs are dense
+            dense = _DENSE * max(chained, prob * handoffs) > _BATCH
             kinds = kinds.tobytes()
-        walk_size = _WALK if keep is not None else _PIECE
-        fast = keep is not None and not pending  # the filter starts from last: synced
+        walk_size = _PIECE if dense else _WALK
+        fast = not (dense or pending)  # the filter starts from last: synced
         i = 0  # the next arrival
         while i < _BATCH and recorded < n:
             if fast:
@@ -432,12 +426,9 @@ def _detector_runs(cfg: GeneratorConfig) -> Iterator[tuple[np.ndarray, np.ndarra
             else:
                 yield from walk(i, walk_size)
                 i += walk_size
-            fast = (
-                keep is not None
-                and not pending
-                and _synced(i, arrival_t, arrival_d, keep, last, tau)
-            )
-        del arrival_t, arrival_d, keep, kept, kinds  # freed before the events are gathered
+            fast = not (dense or pending) and _synced(i, arrival_t, arrival_d, keep, last, tau)
+        # freed before the events are gathered
+        arrival_t = arrival_d = keep = kept = kinds = None
         yield from cut(recorded == n)
 
 

@@ -39,15 +39,20 @@ def make_counts(level, mapping, total=None):
     return BlockCounts(level, arr, total if total is not None else int(arr.sum()))
 
 
-def run_python(code: str, *args: str, cwd=None) -> subprocess.CompletedProcess:
-    """Run code in a fresh interpreter that imports this checkout's randcert."""
+def python_env() -> dict[str, str]:
+    """The environment of a fresh interpreter that imports this checkout's randcert."""
     src = str(Path(randcert.__file__).parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def run_python(code: str, *args: str, cwd=None) -> subprocess.CompletedProcess:
+    """Run code in a fresh interpreter that imports this checkout's randcert."""
     return subprocess.run(
         [sys.executable, "-c", code, *args],
         capture_output=True,
         text=True,
         check=True,
         cwd=cwd,
-        env={**os.environ, "PYTHONPATH": path},
+        env=python_env(),
     )

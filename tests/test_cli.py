@@ -3,6 +3,7 @@ import json
 import math
 import os
 import shutil
+import subprocess
 import sys
 import threading
 import warnings
@@ -14,7 +15,7 @@ import pytest
 from randcert import bitstream, blockstats, extract, simgen
 from randcert.cli import EXIT_ERROR, EXIT_FAIL, EXIT_PASS, main
 
-from conftest import bits_from_string, run_python
+from conftest import bits_from_string, python_env, run_python
 
 
 @pytest.fixture(scope="module")
@@ -362,6 +363,70 @@ class TestOutput:
         assert not reader.is_alive()
         assert got == [regular.read_bytes()]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["fifo", "regular.txt"]
+
+
+def _cli(*argv: str, **kwargs) -> subprocess.CompletedProcess:
+    """randcert in a child process, its stdout and stderr captured as bytes."""
+    command = [sys.executable, "-m", "randcert.cli", *argv]
+    return subprocess.run(command, capture_output=True, env=python_env(), **kwargs)
+
+
+def test_pipeline_through_stdout_matches_files(tmp_path):
+    """generate | extract | analyze through /dev/stdout and /dev/stdin: each
+    stdout holds only the data, the summaries go to stderr, and the report
+    is the one the same steps give through files. 2^17 + 1 binary tags take
+    two 1 MiB reads."""
+    n = (1 << 17) + 1
+    tags, bits, report = tmp_path / "tags.bin", tmp_path / "bits.bin", tmp_path / "report.json"
+    gen = ["generate", "--kind", "detector", "--n", str(n), "--seed", "3", "--dead-time", "50"]
+    gen += ["--afterpulse-prob", "0.05", "--out-format", "timetags-binary", "--out"]
+    ext = ["--format", "binary", "--kind", "timestamps", "--out"]
+    assert main(gen + [str(tags)]) == EXIT_PASS
+    assert main(["extract", str(tags), *ext, str(bits)]) == EXIT_PASS
+    verdict = main(["analyze", str(bits), "--format", "packed", "--json", str(report)])
+
+    piped_tags = _cli(*gen, "/dev/stdout", check=True)
+    assert len(piped_tags.stdout) == 8 * n
+    assert piped_tags.stdout == tags.read_bytes()
+    assert piped_tags.stderr == f"wrote /dev/stdout (detector, n = {n}, seed = 3)\n".encode()
+    piped_bits = _cli(
+        "extract", "/dev/stdin", *ext, "/dev/stdout", input=piped_tags.stdout, check=True
+    )
+    assert piped_bits.stdout == bits.read_bytes()
+    assert piped_bits.stderr.startswith(f"extracted n = {n - 1} bits, ".encode())
+    analyzed = _cli(
+        "analyze", "/dev/stdin", "--format", "packed", "--json", "-", input=piped_bits.stdout
+    )
+    assert analyzed.returncode == verdict
+    got, want = json.loads(analyzed.stdout), json.loads(report.read_text())
+    assert got["input"].pop("path") == "/dev/stdin"
+    assert want["input"].pop("path") == str(bits)
+    assert got == want
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["--divisor", "0", "--out", "{tmp}/x"], "divisor must be a positive integer, got 0"),
+        (["--out", "{tmp}/missing/x"], "[Errno 2] No such file or directory: '{tmp}/missing/x'"),
+    ],
+    ids=["divisor-0", "out-in-missing-directory"],
+)
+def test_extract_refuses_before_reading_an_endless_pipe(tmp_path, argv, error):
+    """--divisor and --out are checked before the input is read, so their
+    faults end a run whose input never ends, and with exit code 2."""
+    endless = "import sys\nwhile True:\n    sys.stdout.write('30\\n' * 4096)"
+    feeder = subprocess.Popen([sys.executable, "-c", endless], stdout=subprocess.PIPE)
+    try:
+        argv = [a.format(tmp=tmp_path) for a in argv]
+        extract_argv = ["extract", "/dev/stdin", "--format", "text", "--kind", "timestamps"]
+        run = _cli(*extract_argv, *argv, stdin=feeder.stdout, timeout=15)
+    finally:
+        feeder.kill()
+        feeder.communicate()
+    assert run.returncode == EXIT_ERROR
+    assert run.stderr.decode() == f"error: {error.format(tmp=tmp_path)}\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 class TestGenerate:

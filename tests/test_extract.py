@@ -95,7 +95,7 @@ class TestTimetagIO:
     def test_text_with_digit_groups_and_unit(self, tmp_path):
         p = tmp_path / "tags.txt"
         p.write_text("592 342 ps\n595 634 ps\n593 645 ps\n")
-        s = load_timetags_text(p, "interarrivals", "ps")
+        s = load_timetags_text(p, "interarrivals")
         assert s.values.tolist() == [592342, 595634, 593645]
 
     def test_text_plain(self, tmp_path):
@@ -114,7 +114,7 @@ class TestTimetagIO:
         p = tmp_path / "tags.txt"
         s = series([1, 5, 9])
         write_timetags_text(s, p)
-        assert load_timetags_text(p, "interarrivals", "ps").values.tolist() == [1, 5, 9]
+        assert load_timetags_text(p, "interarrivals").values.tolist() == [1, 5, 9]
 
     def test_binary_roundtrip(self, tmp_path):
         p = tmp_path / "tags.bin"
@@ -286,18 +286,20 @@ def test_text_fast_path_matches_line_parser(tmp_path_factory, raw):
         got = _outcome(lambda q: load_timetags_text(q, "interarrivals").values, p)
     assert got == _outcome(lambda q: extract._parse_lines(q.read_bytes()), p)
     plain = re.fullmatch(rb"(?:[0-9]{1,18}\n)*(?:[0-9]{1,18})?", raw)
-    assert extract._is_plain(raw) == bool(plain)
+    assert (extract._plain_values(raw) is not None) == bool(plain)
 
 
 @pytest.mark.parametrize(
-    "raw, fixed",
+    "raw, taker",
     [
-        (b"007\n012\n900\n", True),
-        (b"1000000000000000000\n1000000000000000001\n", False),
-        (b"9999999999999999999\n", False),
-        (b"12\n345\n67\n", False),
-        (b"12\n3x\n45\n", False),
-        (b"12\n34", False),
+        (b"007\n012\n900\n", "matrix"),
+        (b"1000000000000000000\n1000000000000000001\n", "lines"),
+        (b"9999999999999999999\n", "lines"),
+        (b"12\n345\n67\n", "fromstring"),
+        (b"12\n3x\n45\n", "lines"),
+        (b"12\n34", "matrix"),
+        (b"12\n3\n456\n", "fromstring"),
+        (b"123456789012345678\n999999999999999999\n", "matrix"),
     ],
     ids=[
         "leading-zeros",
@@ -306,17 +308,26 @@ def test_text_fast_path_matches_line_parser(tmp_path_factory, raw):
         "width-change",
         "non-digit",
         "no-final-newline",
+        "first-width-divides-length",
+        "18-digits",
     ],
 )
-def test_fixed_width_reads_match_line_parser(tmp_path, raw, fixed):
-    """A read of lines of one width, each 1-18 digits and a newline, is parsed
-    as a digit matrix; any other read gives the line parser's values, or its
-    error text and line number."""
-    assert (extract._fixed_width(raw) is not None) == fixed
+def test_fixed_width_reads_match_line_parser(tmp_path, raw, taker):
+    """A read of lines of 1-18 digits, each ended by a newline but perhaps
+    the last, is parsed as a digit matrix when the lines have one width (so
+    np.fromstring, patched to fail, is never called), else by np.fromstring;
+    any other read gives the line parser's values, or its error text and
+    line number."""
     p = tmp_path / "tags.txt"
     p.write_bytes(raw)
-    got = _outcome(lambda q: load_timetags_text(q, "interarrivals").values, p)
+    unused = mock.patch.object(np, "fromstring", side_effect=AssertionError("not the matrix"))
+    with unused if taker == "matrix" else contextlib.nullcontext():
+        values = extract._plain_values(raw)
+        got = _outcome(lambda q: load_timetags_text(q, "interarrivals").values, p)
+    assert (values is None) == (taker == "lines")
     assert got == _outcome(lambda q: extract._parse_lines(q.read_bytes()), p)
+    if values is not None:
+        assert values.tolist() == got
 
 
 def _rising(draw, top: int) -> list[int]:

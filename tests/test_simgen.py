@@ -404,16 +404,29 @@ def test_numpy_path_matches_generator_loop(cfg, batch, piece, walk):
         dict(BENCH_DEFECTS, afterpulse_delay=float(np.nextafter(50.0, 0))),
         dict(BENCH_DEFECTS, afterpulse_prob=0.5),
         dict(afterpulse_prob=1.0, afterpulse_delay=0.0),
+        dict(dead_time=10_000.0),
+        dict(dead_time=10_000.0, afterpulse_prob=0.05, afterpulse_delay=15_000.0),
     ],
-    ids=["bench", "delay-equals-dead-time", "delay-just-below-dead-time", "chains", "delay-0"],
+    ids=[
+        "bench",
+        "delay-equals-dead-time",
+        "delay-just-below-dead-time",
+        "chains",
+        "delay-0",
+        "dead-time-10-means",
+        "dead-time-10-means-after-pulses",
+    ],
 )
 @pytest.mark.parametrize("dense", [simgen._DENSE, 0], ids=["as-built", "numpy-path-only"])
 def test_matches_generator_loop_at_full_refills(defects, dense):
     """At the real _BATCH, 2^17 + 3 events cross an arrival refill and a coin
     batch; with _DENSE = 0 no refill is left to the one-event loop, even
-    where after-pulses chain. Near dead_time, whether an after-pulse passes
-    rests on the rounding of (t + delay) - t: just below dead_time it rounds
-    up to dead_time once t is large, so the after-pulse is kept."""
+    where after-pulses chain. A dead time of 10 mean interarrivals chains
+    nearly every arrival to the one before it on its detector, so as built
+    the first refill is dense on the chain side and the one-event loop walks
+    every refill. Near dead_time, whether an after-pulse passes rests on the
+    rounding of (t + delay) - t: just below dead_time it rounds up to
+    dead_time once t is large, so the after-pulse is kept."""
     cfg = GeneratorConfig("detector", (1 << 17) + 3, 11, **defects)
     with mock.patch.object(simgen, "_DENSE", dense):
         assert _output(*gen_detector(cfg)) == _output(*_reference_detector(cfg))
