@@ -39,7 +39,7 @@ def _count_input(args, levels: int | None):
     return blockstats.stream_level_counts(args.input, args.format, args.bits, levels)
 
 
-def _write(chunks, path: str, fmt: str) -> None:
+def _write(chunks, path: str, fmt: str, n: int | None = None) -> None:
     """Write a stream of chunks in an output format, each chunk as it is made.
     The output is opened before the first chunk is made, so a fault in --out
     is reported before one in the input."""
@@ -48,75 +48,81 @@ def _write(chunks, path: str, fmt: str) -> None:
         from . import extract as module
     else:
         from . import bitstream as module
-    with _output(path) as target:
+    with _output(path, fmt, n) as target:
         getattr(module, "write_" + fmt.replace("-", "_"))(chunks, target)
 
 
 def _in_place(path: str) -> bool:
-    """Whether --out is opened as it is: an existing FIFO, device or other
+    """Whether --out is written where it is, with no temporary file: standard
+    output (`-` or /dev/stdout), an existing FIFO, device or other
     non-regular file, or a path with no file name, which opening refuses."""
+    if path in ("-", "/dev/stdout"):
+        return True
     return not os.path.basename(path) or (os.path.exists(path) and not os.path.isfile(path))
 
 
-def _target(path: str) -> str:
-    """The file that writing --out replaces: through a symlink, as opening it would write."""
-    return os.path.realpath(path) if os.path.islink(path) else path
-
-
 @contextlib.contextmanager
-def _output(path: str):
-    """The file to write for --out. A regular --out gets a temporary file
-    beside it, moved onto it on success and removed on any error, so a failed
-    run leaves no partial output and an existing --out untouched."""
+def _output(path: str, fmt: str, n: int | None):
+    """What the writer opens for --out, an output of n bits or time tags
+    (None: not known before writing). Standard output is a copy of its
+    descriptor, which the writer's open() closes, so `>>` appends and nothing
+    truncates it. A regular --out is refused if the output's smallest size
+    (for time-tag text, a digit and a newline per tag) exceeds the free space
+    beside it; else it gets a temporary file beside it, moved onto it on
+    success and removed on any error or SIGTERM, so a failed run leaves no
+    partial output and an existing --out untouched."""
     if _in_place(path):
+        if path in ("-", "/dev/stdout"):
+            path = os.dup(1)
         yield path
         return
-    real = _target(path)
+    import shutil
+    import signal
+    import threading
+
+    real = os.path.realpath(path) if os.path.islink(path) else path  # as opening it would write
+    if n is not None:
+        least = {"packed": (n + 7) // 8, "ascii": n + 1, "timetags-text": 2 * n, "timetags-binary": 8 * n}
+        with contextlib.suppress(OSError):  # a missing directory is reported when tmp is made
+            free = shutil.disk_usage(os.path.dirname(real) or ".").free
+            if least[fmt] > free:
+                raise ValueError(
+                    f"--n {n} needs at least {least[fmt]} bytes of {fmt} output, "
+                    f"more than the {free} bytes free beside --out"
+                )
     try:
         mode = os.stat(real).st_mode & 0o7777
     except FileNotFoundError:
         mode = None
     tmp = os.path.join(os.path.dirname(real), f".{os.path.basename(real)}.{os.urandom(6).hex()}")
+    # SIGTERM unwinds as SystemExit(143), removing tmp; only the main thread sets handlers
+    main = threading.current_thread() is threading.main_thread()
+    if main:
+        previous = signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
     try:
-        # mode 0o666 less the umask, as open(path, "wb") creates a file
-        os.close(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
-    except OSError as exc:  # reported against --out, as opening it would be
-        raise type(exc)(exc.errno, exc.strerror, path) from None
-    try:
-        yield tmp
-        if mode is not None:
-            os.chmod(tmp, mode)
-        os.replace(tmp, real)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.unlink(tmp)
-        raise
-
-
-def _check_room(path: str, fmt: str, n: int) -> None:
-    """Refuse an output of n bits or time tags whose smallest size exceeds
-    the free space beside a regular --out, before anything is written. The
-    smallest time-tag text is one digit and a newline per tag."""
-    import shutil
-
-    if _in_place(path):
-        return
-    least = {"packed": (n + 7) // 8, "ascii": n + 1, "timetags-text": 2 * n, "timetags-binary": 8 * n}
-    try:
-        free = shutil.disk_usage(os.path.dirname(_target(path)) or ".").free
-    except OSError:
-        return  # a missing directory is reported when --out is opened
-    if least[fmt] > free:
-        raise ValueError(
-            f"--n {n} needs at least {least[fmt]} bytes of {fmt} output, "
-            f"more than the {free} bytes free beside --out"
-        )
+        try:
+            # mode 0o666 less the umask, as open(path, "wb") creates a file
+            os.close(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
+        except OSError as exc:  # reported against --out, as opening it would be
+            raise type(exc)(exc.errno, exc.strerror, path) from None
+        try:
+            yield tmp
+            if mode is not None:
+                os.chmod(tmp, mode)
+            os.replace(tmp, real)
+        except BaseException:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(tmp)
+            raise
+    finally:
+        if main:
+            signal.signal(signal.SIGTERM, previous)
 
 
 def _summary(args):
     """Where a command prints its text summary: stderr when stdout may carry
     the command's output, the JSON report of --json - or the data of an --out
-    written in place, such as /dev/stdout, so that stdout holds only that."""
+    written in place, such as - or /dev/stdout, so that stdout holds only that."""
     if getattr(args, "json", None) == "-" or ("out" in args and _in_place(args.out)):
         return sys.stderr
     return sys.stdout
@@ -233,19 +239,12 @@ def cmd_extract(args) -> int:
 
 
 def cmd_generate(args) -> int:
+    import dataclasses
+
     from . import simgen
 
-    cfg = simgen.GeneratorConfig(
-        kind=args.kind,
-        n=args.n,
-        seed=args.seed,
-        theta=args.theta,
-        stay_prob=args.stay_prob,
-        mean_interarrival=args.mean,
-        dead_time=args.dead_time,
-        afterpulse_prob=args.afterpulse_prob,
-        afterpulse_delay=args.afterpulse_delay,
-    )
+    fields = dataclasses.fields(simgen.GeneratorConfig)
+    cfg = simgen.GeneratorConfig(**{f.name: getattr(args, f.name) for f in fields if f.name in args})
     timetags = args.out_format.startswith("timetags-")
     if cfg.kind == simgen.DETECTOR:
         pieces = simgen.stream_detector(cfg)
@@ -254,8 +253,7 @@ def cmd_generate(args) -> int:
         raise ValueError(f"{cfg.kind} generator emits bits, not time tags")
     else:
         out = (simgen.stream_bernoulli if cfg.kind == simgen.BERNOULLI else simgen.stream_markov)(cfg)
-    _check_room(args.out, args.out_format, cfg.n)
-    _write(out, args.out, args.out_format)
+    _write(out, args.out, args.out_format, cfg.n)
     print(f"wrote {args.out} ({cfg.kind}, n = {cfg.n}, seed = {cfg.seed})", file=_summary(args))
     return EXIT_PASS
 
@@ -318,12 +316,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--kind", choices=["bernoulli", "markov", "detector"], required=True)
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--seed", type=int, required=True)
-    sp.add_argument("--theta", type=float, default=0.5)
-    sp.add_argument("--stay-prob", type=float, default=0.5)
-    sp.add_argument("--mean", type=float, default=1000.0)
-    sp.add_argument("--dead-time", type=float, default=0.0)
-    sp.add_argument("--afterpulse-prob", type=float, default=0.0)
-    sp.add_argument("--afterpulse-delay", type=float, default=10.0)
+    # absent unless given, so that GeneratorConfig supplies the defaults
+    sp.add_argument("--theta", type=float, default=argparse.SUPPRESS)
+    sp.add_argument("--stay-prob", type=float, default=argparse.SUPPRESS)
+    sp.add_argument("--mean", type=float, default=argparse.SUPPRESS, dest="mean_interarrival", metavar="MEAN")
+    sp.add_argument("--dead-time", type=float, default=argparse.SUPPRESS)
+    sp.add_argument("--afterpulse-prob", type=float, default=argparse.SUPPRESS)
+    sp.add_argument("--afterpulse-delay", type=float, default=argparse.SUPPRESS)
     sp.add_argument("--out", required=True)
     sp.add_argument(
         "--out-format",

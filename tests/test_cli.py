@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -6,6 +7,7 @@ import shutil
 import subprocess
 import sys
 import threading
+import time
 import warnings
 from types import SimpleNamespace
 
@@ -371,11 +373,12 @@ def _cli(*argv: str, **kwargs) -> subprocess.CompletedProcess:
     return subprocess.run(command, capture_output=True, env=python_env(), **kwargs)
 
 
-def test_pipeline_through_stdout_matches_files(tmp_path):
-    """generate | extract | analyze through /dev/stdout and /dev/stdin: each
-    stdout holds only the data, the summaries go to stderr, and the report
-    is the one the same steps give through files. 2^17 + 1 binary tags take
-    two 1 MiB reads."""
+@pytest.mark.parametrize("stdout", ["-", "/dev/stdout"], ids=["dash", "dev-stdout"])
+def test_pipeline_through_stdout_matches_files(tmp_path, stdout):
+    """generate | extract | analyze through standard output and /dev/stdin:
+    each stdout holds only the data, the summaries go to stderr, and the
+    report is the one the same steps give through files. 2^17 + 1 binary
+    tags take two 1 MiB reads."""
     n = (1 << 17) + 1
     tags, bits, report = tmp_path / "tags.bin", tmp_path / "bits.bin", tmp_path / "report.json"
     gen = ["generate", "--kind", "detector", "--n", str(n), "--seed", "3", "--dead-time", "50"]
@@ -385,12 +388,12 @@ def test_pipeline_through_stdout_matches_files(tmp_path):
     assert main(["extract", str(tags), *ext, str(bits)]) == EXIT_PASS
     verdict = main(["analyze", str(bits), "--format", "packed", "--json", str(report)])
 
-    piped_tags = _cli(*gen, "/dev/stdout", check=True)
+    piped_tags = _cli(*gen, stdout, cwd=tmp_path, check=True)
     assert len(piped_tags.stdout) == 8 * n
     assert piped_tags.stdout == tags.read_bytes()
-    assert piped_tags.stderr == f"wrote /dev/stdout (detector, n = {n}, seed = 3)\n".encode()
+    assert piped_tags.stderr == f"wrote {stdout} (detector, n = {n}, seed = 3)\n".encode()
     piped_bits = _cli(
-        "extract", "/dev/stdin", *ext, "/dev/stdout", input=piped_tags.stdout, check=True
+        "extract", "/dev/stdin", *ext, stdout, input=piped_tags.stdout, cwd=tmp_path, check=True
     )
     assert piped_bits.stdout == bits.read_bytes()
     assert piped_bits.stderr.startswith(f"extracted n = {n - 1} bits, ".encode())
@@ -402,6 +405,58 @@ def test_pipeline_through_stdout_matches_files(tmp_path):
     assert got["input"].pop("path") == "/dev/stdin"
     assert want["input"].pop("path") == str(bits)
     assert got == want
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bits.bin", "report.json", "tags.bin"]
+
+
+@pytest.mark.parametrize("stdout", ["-", "/dev/stdout"], ids=["dash", "dev-stdout"])
+def test_stdout_appended_to_a_file_keeps_its_bytes(tmp_path, stdout):
+    """With stdout appended to a regular file, as by `>> log`, generate and
+    extract add their data after the bytes it held: standard output is
+    written through its own descriptor, never reopened, truncated or
+    replaced, and no file named after --out is made."""
+    tags, bits, log = tmp_path / "tags.txt", tmp_path / "bits.bin", tmp_path / "log"
+    gen = ["generate", "--kind", "detector", "--n", "1000", "--seed", "5"]
+    gen += ["--out-format", "timetags-text", "--out"]
+    ext = ["extract", str(tags), "--format", "text", "--kind", "timestamps", "--out"]
+    assert main(gen + [str(tags)]) == EXIT_PASS
+    assert main(ext + [str(bits)]) == EXIT_PASS
+    log.write_bytes(b"HEADER\n")
+    for argv in (gen, ext):
+        with open(log, "ab") as fh:
+            command = [sys.executable, "-m", "randcert.cli", *argv, stdout]
+            subprocess.run(
+                command, stdout=fh, stderr=subprocess.PIPE, cwd=tmp_path, env=python_env(), check=True
+            )
+    assert log.read_bytes() == b"HEADER\n" + tags.read_bytes() + bits.read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bits.bin", "log", "tags.txt"]
+
+
+def test_sigterm_leaves_no_temporary_file(tmp_path):
+    """A run ended by SIGTERM exits with the status the signal gives, 143,
+    and, as on any error, leaves no temporary file and an existing --out as
+    it was. The input never ends, so its decrease is never reported."""
+    endless = "import sys\nsys.stdout.write('10\\n5\\n')\nwhile True:\n    sys.stdout.write('30\\n' * 4096)"
+    out = tmp_path / "x"
+    out.write_bytes(b"old bits")
+    feeder = subprocess.Popen([sys.executable, "-c", endless], stdout=subprocess.PIPE)
+    command = [sys.executable, "-m", "randcert.cli", "extract", "/dev/stdin", "--format", "text"]
+    command += ["--kind", "timestamps", "--out", str(out)]
+    run = subprocess.Popen(command, stdin=feeder.stdout, stderr=subprocess.PIPE, env=python_env())
+    try:
+        deadline = time.monotonic() + 30
+        while not list(tmp_path.glob(".x.*")):  # the handler is set before the file is made
+            assert run.poll() is None and time.monotonic() < deadline
+            time.sleep(0.01)
+        run.terminate()
+        assert run.wait(timeout=10) == 128 + 15
+        assert run.stderr.read() == b""
+    finally:
+        run.kill()
+        feeder.kill()
+        run.communicate()
+        feeder.communicate()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["x"]
+    assert out.read_bytes() == b"old bits"
 
 
 @pytest.mark.parametrize(
@@ -636,6 +691,33 @@ def test_extract_output_pinned(tmp_path, capsys, src_fmt, fmt, digest):
     assert main(argv + ["--out-format", fmt, "--out", str(out)]) == EXIT_PASS
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
     assert capsys.readouterr().out.endswith("extracted n = 1000 bits, ones fraction = 0.618000\n")
+
+
+@pytest.mark.parametrize(
+    "kind, fmt", [("bernoulli", "packed"), ("markov", "packed"), ("detector", "timetags-binary")]
+)
+def test_generate_defaults_are_the_generator_config_defaults(tmp_path, capsys, kind, fmt):
+    """generate without its generator options gives the bytes of
+    GeneratorConfig(kind, n, seed), and so does each option given at the
+    default that GeneratorConfig holds."""
+    cfg = simgen.GeneratorConfig(kind, 4096, 9)
+    want = tmp_path / "want"
+    if kind == simgen.DETECTOR:
+        extract.write_timetags_binary(simgen.gen_detector(cfg)[0], want)
+    else:
+        gen = simgen.gen_bernoulli if kind == simgen.BERNOULLI else simgen.gen_markov
+        bitstream.write_packed(gen(cfg), want)
+    defaults = []
+    for f in dataclasses.fields(simgen.GeneratorConfig):
+        if f.default is not dataclasses.MISSING:
+            option = "--mean" if f.name == "mean_interarrival" else "--" + f.name.replace("_", "-")
+            defaults += [option, repr(f.default)]
+    assert len(defaults) == 2 * 6
+    out = tmp_path / "out"
+    argv = ["generate", "--kind", kind, "--n", "4096", "--seed", "9", "--out-format", fmt]
+    for given in ([], defaults):
+        assert main(argv + ["--out", str(out), *given]) == EXIT_PASS
+        assert out.read_bytes() == want.read_bytes()
 
 
 class TestInputContract:
