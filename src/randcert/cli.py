@@ -52,11 +52,23 @@ def _write(chunks, path: str, fmt: str, n: int | None = None) -> None:
         getattr(module, "write_" + fmt.replace("-", "_"))(chunks, target)
 
 
+def _stdout(path: str) -> bool:
+    """Whether --out is standard output: `-`, or any name of the file that
+    descriptor 1 is open on, such as /dev/stdout, /dev/fd/1 or a file that
+    stdout is redirected to."""
+    if path == "-":
+        return True
+    try:
+        return os.path.samestat(os.stat(path), os.fstat(1))
+    except OSError:  # no such file, or no descriptor 1
+        return False
+
+
 def _in_place(path: str) -> bool:
     """Whether --out is written where it is, with no temporary file: standard
-    output (`-` or /dev/stdout), an existing FIFO, device or other
-    non-regular file, or a path with no file name, which opening refuses."""
-    if path in ("-", "/dev/stdout"):
+    output, an existing FIFO, device or other non-regular file, or a path
+    with no file name, which opening refuses."""
+    if _stdout(path):
         return True
     return not os.path.basename(path) or (os.path.exists(path) and not os.path.isfile(path))
 
@@ -72,7 +84,7 @@ def _output(path: str, fmt: str, n: int | None):
     success and removed on any error or SIGTERM, so a failed run leaves no
     partial output and an existing --out untouched."""
     if _in_place(path):
-        if path in ("-", "/dev/stdout"):
+        if _stdout(path):
             path = os.dup(1)
         yield path
         return
@@ -122,7 +134,7 @@ def _output(path: str, fmt: str, n: int | None):
 def _summary(args):
     """Where a command prints its text summary: stderr when stdout may carry
     the command's output, the JSON report of --json - or the data of an --out
-    written in place, such as - or /dev/stdout, so that stdout holds only that."""
+    written in place, such as standard output, so that stdout holds only that."""
     if getattr(args, "json", None) == "-" or ("out" in args and _in_place(args.out)):
         return sys.stderr
     return sys.stdout

@@ -97,9 +97,10 @@ def stream_timetags(path, fmt: str, kind: str) -> Iterator[TimeTagSeries]:
     chunk before, so each chunk differences on its own. Every chunk but the
     last adds a multiple of 8 values (of differences, for timestamps), so its
     parity bits are whole bytes. An input with no values, or with one
-    timestamp, is one chunk of them. A decrease of the timestamps is reported
-    with its index in the whole series, once the rest of the input has been
-    read without a format fault, which comes first as in a whole-file read.
+    timestamp, is one chunk of them. The first fault in the input is the one
+    reported, as soon as the read that holds it is parsed, and nothing after
+    it is read: a decrease of the timestamps with its index in the whole
+    series, or a format fault with its line.
     """
     parse = {"text": _text_values, "binary": _binary_values}.get(fmt)
     if parse is None:
@@ -107,37 +108,20 @@ def stream_timetags(path, fmt: str, kind: str) -> Iterator[TimeTagSeries]:
     overlap = int(kind == TIMESTAMPS)
     held = np.empty(0, dtype=np.int64)  # the overlap, then the values not yet yielded
     base = 0  # index of held[0] in the whole series
-    fault = None
     yielded = False
     with open(path, "rb") as fh:
         for values in parse(fh):
-            if fault is not None:
-                continue  # read on: a format fault further on is reported first
             chunk = np.concatenate([held, values])
+            if overlap and (drops := np.flatnonzero(np.diff(chunk) < 0)).size:
+                raise _decrease(chunk, int(drops[0]) + 1, base)
             take = (chunk.size - overlap) & ~7
             if take <= 0:
                 held = chunk
                 continue
-            try:
-                series = _series_at(chunk[: take + overlap], kind, base)
-            except DataError as exc:
-                fault = exc
-                continue
             held, base, yielded = chunk[take:], base + take, True
-            yield series
-    if fault is not None:
-        raise fault
+            yield TimeTagSeries(chunk[: take + overlap], "", kind)
     if held.size > overlap or not yielded:
-        yield _series_at(held, kind, base)
-
-
-def _series_at(values: np.ndarray, kind: str, base: int) -> TimeTagSeries:
-    """TimeTagSeries(values, "", kind), with a decrease reported at its
-    index in the whole series, in which values[0] has index base."""
-    try:
-        return TimeTagSeries(values, "", kind)
-    except DataError as exc:
-        raise _decrease(values, exc.index, base) from None
+        yield TimeTagSeries(held, "", kind)
 
 
 def _joined(chunks: Iterator[TimeTagSeries]) -> TimeTagSeries:
@@ -158,13 +142,15 @@ def load_timetags_text(path, kind: str) -> TimeTagSeries:
     be missing), is checked and parsed in numpy: as a digit matrix when its
     lines all have one width, else by np.fromstring. Any other run, blank lines
     and CRLF included, goes to the line parser, which gives the same values
-    and reports errors with their line numbers.
+    up to a bad line; that line is reported with its number after the values
+    before it, so a decrease among them is reported first.
     """
     return _joined(stream_timetags(path, "text", kind))
 
 
 def _text_values(fh) -> Iterator[np.ndarray]:
-    """The values of a text file, one array per read of whole lines. A line
+    """The values of a text file, one array per read of whole lines. A bad
+    line is reported after the values before it are yielded, and a line
     longer than _MAX_LINE bytes is refused before it is joined."""
     # the reads since the last line end, their bytes, and the lines before them
     tail, held, lineno = [], 0, 0
@@ -183,13 +169,15 @@ def _text_values(fh) -> Iterator[np.ndarray]:
         if after_cr and data.startswith(b"\n"):  # the end of a "\r\n" split by the cut
             lineno -= 1
         after_cr = data.endswith(b"\r")
-        values = _plain_values(data)
+        values, fault = _plain_values(data), None
         if values is not None:
             lines = values.size
         else:
-            values = _parse_lines(data, lineno)
+            values, fault = _parse_lines(data, lineno)
             lines = data.count(b"\n") + data.count(b"\r") - data.count(b"\r\n")
         yield values
+        if fault is not None:
+            raise fault
         if not raw:
             return
         lineno += lines
@@ -231,11 +219,13 @@ def _plain_values(raw: bytes) -> np.ndarray | None:
     return values
 
 
-def _parse_lines(raw: bytes, lineno: int = 0) -> np.ndarray:
+def _parse_lines(raw: bytes, lineno: int = 0) -> tuple[np.ndarray, FormatError | None]:
     """The general parser: one line at a time, any layout the loader accepts.
     Digits are ASCII only (bytes.isdigit); lines end at "\\n", "\\r\\n" or "\\r".
-    lineno lines come before raw, for the line numbers of errors."""
-    values = []
+    lineno lines come before raw, for the line numbers of errors. Returns the
+    values, and None; or, at the first bad line, the values before it and
+    its FormatError."""
+    values, fault = [], None
     for lineno, line in enumerate(raw.splitlines(), lineno + 1):
         tokens = line.translate(_STR_WS_TO_SPACE).split()
         if not tokens:
@@ -251,12 +241,14 @@ def _parse_lines(raw: bytes, lineno: int = 0) -> np.ndarray:
         if not digits or any(tok.isdigit() for tok in rest):
             what = "number after unit token" if digits else "no number found"
             shown = repr(line.strip(_STR_WS))[1:]  # bytes repr without the b; non-ASCII as \xNN
-            raise FormatError(f"line {lineno}: {what} in {shown}")
+            fault = FormatError(f"line {lineno}: {what} in {shown}")
+            break
         value = int(digits)
         if value > _INT64_MAX:
-            raise FormatError(f"line {lineno}: time value exceeds signed 64-bit range")
+            fault = FormatError(f"line {lineno}: time value exceeds signed 64-bit range")
+            break
         values.append(value)
-    return np.asarray(values, dtype=np.int64)
+    return np.asarray(values, dtype=np.int64), fault
 
 
 def load_timetags_binary(path, kind: str) -> TimeTagSeries:
@@ -265,24 +257,22 @@ def load_timetags_binary(path, kind: str) -> TimeTagSeries:
 
 
 def _binary_values(fh) -> Iterator[np.ndarray]:
-    """The values of a binary file, one array per read. A value past 2^63 - 1
-    is reported once the input has ended, so a size that is not a multiple
-    of 8 comes first, from a pipe as from a file."""
-    tail, size, fault = b"", 0, None  # a pipe may return a read that ends inside a value
+    """The values of a binary file, one array per read. At the first value
+    past 2^63 - 1 the values before it are yielded and it is reported; a size
+    that is not a multiple of 8 is reported at the end of the input."""
+    tail, size = b"", 0  # a pipe may return a read that ends inside a value
     while raw := fh.read(_READ):
         size += len(raw)
         data = tail + raw
         whole = len(data) & ~7
         tail = data[whole:]
         u = np.frombuffer(data, dtype="<u8", count=whole // 8)
-        if fault is None and u.size and u.max() > _INT64_MAX:
-            fault = FormatError("time value exceeds signed 64-bit range")
-        if fault is None:
-            yield u.astype(np.int64)
+        big = np.flatnonzero(u > _INT64_MAX)
+        yield u[: big[0] if big.size else None].astype(np.int64)
+        if big.size:
+            raise FormatError("time value exceeds signed 64-bit range")
     if tail:
         raise FormatError(f"file size {size} bytes is not a multiple of 8")
-    if fault is not None:
-        raise fault
 
 
 _TEXT_SLAB = 1 << 16  # tags formatted at a time; the whole text is never held

@@ -1,3 +1,4 @@
+import contextlib
 import os
 import subprocess
 import sys
@@ -56,3 +57,17 @@ def run_python(code: str, *args: str, cwd=None) -> subprocess.CompletedProcess:
         cwd=cwd,
         env=python_env(),
     )
+
+
+@contextlib.contextmanager
+def endless_pipe(head: bytes, body: bytes):
+    """The read end of a pipe that a child interpreter fills with head, then
+    with body over and over, as stdin for another child; the writer is
+    killed on exit."""
+    program = f"import sys\nw = sys.stdout.buffer.write\nw({head!r})\nwhile True:\n    w({body!r} * 4096)"
+    feeder = subprocess.Popen([sys.executable, "-c", program], stdout=subprocess.PIPE)
+    try:
+        yield feeder.stdout
+    finally:
+        feeder.kill()
+        feeder.communicate()

@@ -17,7 +17,7 @@ import pytest
 from randcert import bitstream, blockstats, extract, simgen
 from randcert.cli import EXIT_ERROR, EXIT_FAIL, EXIT_PASS, main
 
-from conftest import bits_from_string, python_env, run_python
+from conftest import bits_from_string, endless_pipe, python_env, run_python
 
 
 @pytest.fixture(scope="module")
@@ -275,8 +275,8 @@ class TestExtract:
             ("text", b"100\n200\n\xd9\xa3\xd9\xa3\xd9\xa3\n", "line 3: no number found", False),
             ("text", "100\n2\u00b2\n".encode(), "line 2: no number found", False),
             ("text", b"100\n\xff\n", "line 2: no number found", False),
-            ("binary", b"\xff" * 8 + b"\x01\x02\x03", "file size 11 bytes", False),
-            ("binary", b"\xff" * 8 + b"\x01\x02\x03", "file size 11 bytes", True),
+            ("binary", b"\xff" * 8 + b"\x01\x02\x03", "time value exceeds", False),
+            ("binary", b"\xff" * 8 + b"\x01\x02\x03", "time value exceeds", True),
         ],
         ids=[
             "text-beyond-int64",
@@ -291,7 +291,7 @@ class TestExtract:
     def test_bad_input_is_usage_error(self, tmp_path, capsys, fmt, data, error, pipe):
         src = tmp_path / "tags"
         src.write_bytes(data)
-        if pipe:  # a pipe has no size: its size fault is found at the end, as a file's is
+        if pipe:  # a pipe has no size; the fault first in the input is reported, as from a file
             r, w = os.pipe()
             os.write(w, data)
             os.close(w)
@@ -408,12 +408,16 @@ def test_pipeline_through_stdout_matches_files(tmp_path, stdout):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["bits.bin", "report.json", "tags.bin"]
 
 
-@pytest.mark.parametrize("stdout", ["-", "/dev/stdout"], ids=["dash", "dev-stdout"])
+@pytest.mark.parametrize(
+    "stdout",
+    ["-", "/dev/stdout", "/dev/fd/1", "/proc/self/fd/1"],
+    ids=["dash", "dev-stdout", "dev-fd-1", "proc-self-fd-1"],
+)
 def test_stdout_appended_to_a_file_keeps_its_bytes(tmp_path, stdout):
     """With stdout appended to a regular file, as by `>> log`, generate and
-    extract add their data after the bytes it held: standard output is
-    written through its own descriptor, never reopened, truncated or
-    replaced, and no file named after --out is made."""
+    extract add their data after the bytes it held: standard output, by any
+    of its names, is written through its own descriptor, never reopened,
+    truncated or replaced, and no file named after --out is made."""
     tags, bits, log = tmp_path / "tags.txt", tmp_path / "bits.bin", tmp_path / "log"
     gen = ["generate", "--kind", "detector", "--n", "1000", "--seed", "5"]
     gen += ["--out-format", "timetags-text", "--out"]
@@ -434,51 +438,66 @@ def test_stdout_appended_to_a_file_keeps_its_bytes(tmp_path, stdout):
 def test_sigterm_leaves_no_temporary_file(tmp_path):
     """A run ended by SIGTERM exits with the status the signal gives, 143,
     and, as on any error, leaves no temporary file and an existing --out as
-    it was. The input never ends, so its decrease is never reported."""
-    endless = "import sys\nsys.stdout.write('10\\n5\\n')\nwhile True:\n    sys.stdout.write('30\\n' * 4096)"
+    it was. The input never ends and has no fault, so only SIGTERM ends the run."""
     out = tmp_path / "x"
     out.write_bytes(b"old bits")
-    feeder = subprocess.Popen([sys.executable, "-c", endless], stdout=subprocess.PIPE)
     command = [sys.executable, "-m", "randcert.cli", "extract", "/dev/stdin", "--format", "text"]
     command += ["--kind", "timestamps", "--out", str(out)]
-    run = subprocess.Popen(command, stdin=feeder.stdout, stderr=subprocess.PIPE, env=python_env())
-    try:
-        deadline = time.monotonic() + 30
-        while not list(tmp_path.glob(".x.*")):  # the handler is set before the file is made
-            assert run.poll() is None and time.monotonic() < deadline
-            time.sleep(0.01)
-        run.terminate()
-        assert run.wait(timeout=10) == 128 + 15
-        assert run.stderr.read() == b""
-    finally:
-        run.kill()
-        feeder.kill()
-        run.communicate()
-        feeder.communicate()
+    with endless_pipe(b"10\n", b"30\n") as stdin:
+        run = subprocess.Popen(command, stdin=stdin, stderr=subprocess.PIPE, env=python_env())
+        try:
+            deadline = time.monotonic() + 30
+            while not list(tmp_path.glob(".x.*")):  # the handler is set before the file is made
+                assert run.poll() is None and time.monotonic() < deadline
+                time.sleep(0.01)
+            run.terminate()
+            assert run.wait(timeout=10) == 128 + 15
+            assert run.stderr.read() == b""
+        finally:
+            run.kill()
+            run.communicate()
     assert sorted(p.name for p in tmp_path.iterdir()) == ["x"]
     assert out.read_bytes() == b"old bits"
 
 
+_TEXT = ["--format", "text", "--kind", "timestamps"]
+_OUT = ["--out", "{tmp}/x"]
+
+
 @pytest.mark.parametrize(
-    "argv, error",
+    "head, body, argv, error",
     [
-        (["--divisor", "0", "--out", "{tmp}/x"], "divisor must be a positive integer, got 0"),
-        (["--out", "{tmp}/missing/x"], "[Errno 2] No such file or directory: '{tmp}/missing/x'"),
+        (b"", b"30\n", _TEXT + _OUT + ["--divisor", "0"], "divisor must be a positive integer, got 0"),
+        (
+            b"",
+            b"30\n",
+            _TEXT + ["--out", "{tmp}/missing/x"],
+            "[Errno 2] No such file or directory: '{tmp}/missing/x'",
+        ),
+        (b"10\n5\n", b"30\n", _TEXT + _OUT, "timestamps decrease at index 1 (10 -> 5)"),
+        (
+            np.array([10, 5], dtype="<u8").tobytes(),
+            np.array([30], dtype="<u8").tobytes(),
+            ["--format", "binary", "--kind", "timestamps", *_OUT],
+            "timestamps decrease at index 1 (10 -> 5)",
+        ),
+        (
+            b"",
+            b"\xff" * 8,
+            ["--format", "binary", "--kind", "interarrivals", *_OUT],
+            "time value exceeds signed 64-bit range",
+        ),
     ],
-    ids=["divisor-0", "out-in-missing-directory"],
+    ids=["divisor-0", "out-in-missing-directory", "text-decrease", "binary-decrease", "binary-beyond-int64"],
 )
-def test_extract_refuses_before_reading_an_endless_pipe(tmp_path, argv, error):
-    """--divisor and --out are checked before the input is read, so their
-    faults end a run whose input never ends, and with exit code 2."""
-    endless = "import sys\nwhile True:\n    sys.stdout.write('30\\n' * 4096)"
-    feeder = subprocess.Popen([sys.executable, "-c", endless], stdout=subprocess.PIPE)
-    try:
-        argv = [a.format(tmp=tmp_path) for a in argv]
-        extract_argv = ["extract", "/dev/stdin", "--format", "text", "--kind", "timestamps"]
-        run = _cli(*extract_argv, *argv, stdin=feeder.stdout, timeout=15)
-    finally:
-        feeder.kill()
-        feeder.communicate()
+def test_extract_refuses_before_reading_an_endless_pipe(tmp_path, head, body, argv, error):
+    """--divisor and --out are checked before the input is read, and the
+    first fault in the input is reported as soon as it is read, so each of
+    these faults ends a run whose input never ends, with exit code 2 and no
+    output file."""
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    with endless_pipe(head, body) as stdin:
+        run = _cli("extract", "/dev/stdin", *argv, stdin=stdin, timeout=15)
     assert run.returncode == EXIT_ERROR
     assert run.stderr.decode() == f"error: {error.format(tmp=tmp_path)}\n"
     assert list(tmp_path.iterdir()) == []

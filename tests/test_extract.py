@@ -276,6 +276,14 @@ def _outcome(load, path):
         return type(exc), str(exc)
 
 
+def _line_parser(path):
+    """The line parser's values of the whole file, or its error."""
+    values, fault = extract._parse_lines(path.read_bytes())
+    if fault is not None:
+        raise fault
+    return values
+
+
 @settings(max_examples=400, deadline=None)
 @given(raw=timetag_files())
 def test_text_fast_path_matches_line_parser(tmp_path_factory, raw):
@@ -284,7 +292,7 @@ def test_text_fast_path_matches_line_parser(tmp_path_factory, raw):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = _outcome(lambda q: load_timetags_text(q, "interarrivals").values, p)
-    assert got == _outcome(lambda q: extract._parse_lines(q.read_bytes()), p)
+    assert got == _outcome(_line_parser, p)
     plain = re.fullmatch(rb"(?:[0-9]{1,18}\n)*(?:[0-9]{1,18})?", raw)
     assert (extract._plain_values(raw) is not None) == bool(plain)
 
@@ -325,7 +333,7 @@ def test_fixed_width_reads_match_line_parser(tmp_path, raw, taker):
         values = extract._plain_values(raw)
         got = _outcome(lambda q: load_timetags_text(q, "interarrivals").values, p)
     assert (values is None) == (taker == "lines")
-    assert got == _outcome(lambda q: extract._parse_lines(q.read_bytes()), p)
+    assert got == _outcome(_line_parser, p)
     if values is not None:
         assert values.tolist() == got
 
@@ -377,6 +385,31 @@ def binary_files(draw):
     return raw + draw(st.sampled_from([b""] * 6 + [b"\x01", b"\x01\x02\x03"]))
 
 
+def _whole_read(raw, fmt, kind):
+    """The values of raw read whole, line by line for text and value by
+    value for binary, up to its first fault, and that fault's error text
+    (None if it has none)."""
+    if fmt == "text":
+        values, fault = extract._parse_lines(raw)
+        values, fault = values.tolist(), None if fault is None else str(fault)
+    else:
+        values, fault = [], None
+        for k in range(0, len(raw) - 7, 8):
+            value = int.from_bytes(raw[k : k + 8], "little")
+            if value >= 2**63:
+                fault = "time value exceeds signed 64-bit range"
+                break
+            values.append(value)
+        else:
+            if len(raw) % 8:
+                fault = f"file size {len(raw)} bytes is not a multiple of 8"
+    if kind == "timestamps":
+        for k in range(1, len(values)):
+            if values[k] < values[k - 1]:  # before the fault, so it is the first
+                return values[:k], f"timestamps decrease at index {k} ({values[k - 1]} -> {values[k]})"
+    return values, fault
+
+
 def _extract(src, fmt, kind, divisor, out):
     """Exit code, stdout, stderr and output bytes of one extract run."""
     argv = ["extract", str(src), "--format", fmt, "--kind", kind, "--divisor", str(divisor)]
@@ -401,7 +434,9 @@ def _extract(src, fmt, kind, divisor, out):
 def test_chunked_extraction_matches_whole_file(tmp_path_factory, case, kind, divisor, read):
     """Reads of a few bytes cut lines, CRLFs, values and decreases across
     chunks; the bits, the ones fraction, or the error text, stay those of
-    one whole-file read (inputs here are far below the default read size)."""
+    one whole-file read (inputs here are far below the default read size).
+    An error is that of the first fault in the input, and bits are the
+    parities of the values read whole."""
     fmt, raw = case
     src = tmp_path_factory.getbasetemp() / "fuzz-extract-in"
     out = tmp_path_factory.getbasetemp() / "fuzz-extract-out"
@@ -411,9 +446,13 @@ def test_chunked_extraction_matches_whole_file(tmp_path_factory, case, kind, div
         assert _extract(src, fmt, kind, divisor, out) == whole
     code, _, err, bits = whole
     assert (code == EXIT_ERROR) == (bits is None) == err.startswith("error: ")
-    if code != EXIT_ERROR and fmt == "text":
-        values = extract._parse_lines(raw)
-        gaps = np.diff(values) if kind == "timestamps" else values
+    values, fault = _whole_read(raw, fmt, kind)
+    gaps = np.diff(values) if kind == "timestamps" else np.array(values, dtype=np.int64)
+    if fault is not None:
+        assert (code, err) == (EXIT_ERROR, f"error: {fault}\n")
+    elif gaps.size == 0:
+        assert code == EXIT_ERROR  # no time tags, or one timestamp
+    else:
         assert bits == np.packbits((gaps // divisor) & 1).tobytes()
 
 
