@@ -24,12 +24,11 @@ DETECTOR = "detector"
 
 _CHUNK = 1 << 22  # uniforms drawn at a time; a multiple of 8, so the packed chunks concatenate
 _BATCH = 1 << 16  # uniforms per refill of the detector streams; fixes the output bytes
-_PIECE = 1 << 12  # half a detector run; arrivals walked at a time where conflicts are dense
+_PIECE = 1 << 12  # half a detector run; the most events a walk lists before it cuts
 _WALK = 4  # arrivals listed at a time where a conflict interrupts the numpy path
-# a refill is walked event by event when more than one arrival in _DENSE
-# would need Python: a dead-time conflict chained to another, or an
-# expected hand-over to the one-event loop
-_DENSE = 64
+# most expected arrivals a detector run may drop; at about 0.23 us each
+# (2-core Intel Xeon, numpy 2.4) a run at the limit takes about 4 min
+_MAX_DROPS = 1 << 30
 _HANDOFF, _LONE, _VOID = 0, 1, 2  # what an after-pulse does; see _pulse_kinds
 
 
@@ -62,9 +61,21 @@ class GeneratorConfig:
             v = getattr(self, name)
             if not (math.isfinite(v) and v >= 0):
                 raise ValueError(f"{name} must be finite and non-negative, got {v}")
-        mean = self.mean_interarrival
-        if self.kind == DETECTOR and not (math.isfinite(mean) and mean > 0):
-            raise ValueError(f"mean_interarrival must be finite and positive, got {mean}")
+        if self.kind == DETECTOR:
+            mean = self.mean_interarrival
+            if not (math.isfinite(mean) and mean > 0):
+                raise ValueError(f"mean_interarrival must be finite and positive, got {mean}")
+            # each recorded event blinds its detector for dead_time, over which
+            # about dead_time / (2 * mean) of its arrivals are drawn and dropped
+            try:
+                drops = self.n * self.dead_time / (2 * mean)
+            except OverflowError:
+                raise ValueError(f"n={self.n} is past the largest float") from None
+            if drops > _MAX_DROPS:
+                raise ValueError(
+                    f"n={self.n} at dead_time={self.dead_time} and mean_interarrival={mean} "
+                    f"drops about {drops:.3g} arrivals, more than the {_MAX_DROPS} allowed"
+                )
 
 
 def _raw_uniforms(bg, count: int) -> np.ndarray:
@@ -154,24 +165,20 @@ def _arrivals(bg, clock: float, mean: float) -> tuple[np.ndarray, np.ndarray]:
 
 def _kept_arrivals(
     arrival_t: np.ndarray, arrival_d: np.ndarray, last: list[float], tau: float
-) -> tuple[np.ndarray, int]:
+) -> np.ndarray:
     """Which arrivals of a refill the dead time keeps when no after-pulse
-    comes between them, from the last recorded times given, and how many
-    arrivals it walked in Python: those that are the second or later of a
-    run of arrivals each within tau of the one before it on its detector.
+    comes between them, from the last recorded times given.
 
     An arrival tau or more after the one before it on its detector is kept,
     whatever happened to that one; the first of a run of closer arrivals is
     dropped, and the rest of the run is walked against the last kept time.
     The differences are the loop's own float subtractions."""
     keep = np.empty(arrival_t.size, dtype=bool)
-    walked = 0
     for det in (0, 1):
         idx = np.flatnonzero(arrival_d == det)
         t = arrival_t[idx]
         close = np.diff(t, prepend=last[det]) < tau
         chained = np.flatnonzero(close[1:] & close[:-1]) + 1
-        walked += chained.size
         kept = ~close
         after = -1  # the chained arrival before, or -1
         for j in chained.tolist():
@@ -182,7 +189,7 @@ def _kept_arrivals(
                 last_kept = t[j]
             after = j
         keep[idx] = kept
-    return keep, walked
+    return keep
 
 
 def _pulse_kinds(kept_t: np.ndarray, kept_d: np.ndarray, tau: float, delay: float) -> np.ndarray:
@@ -266,11 +273,10 @@ def _detector_runs(cfg: GeneratorConfig) -> Iterator[tuple[np.ndarray, np.ndarra
     listed after its arrival and shifts the later ranks by one, and any
     other, or a lone one whose own coin injects, is pushed and hands over
     to the one-event loop, which walks _WALK arrivals at a time until such a
-    point comes again. Where conflicts are dense (_DENSE), the one-event
-    loop walks whole refills, _PIECE arrivals at a time. The events are
-    listed as ranges of the kept arrivals and of the one-event loop's
-    events, and gathered in numpy at the end of each refill, or sooner, once
-    the one-event loop has listed _PIECE events.
+    point comes again. The events are listed as ranges of the kept arrivals
+    and of the one-event loop's events, and gathered in numpy at the end of
+    each refill, or sooner, once the one-event loop has listed _PIECE
+    events.
     """
     n, tau, prob, delay = cfg.n, cfg.dead_time, cfg.afterpulse_prob, cfg.afterpulse_delay
     arrival_bg = np.random.Philox(key=cfg.seed)
@@ -294,16 +300,15 @@ def _detector_runs(cfg: GeneratorConfig) -> Iterator[tuple[np.ndarray, np.ndarra
     lone: list[int] = []
     run_size = max(2 * _PIECE & ~7, 8)
     held_t, held_d = np.empty(0), np.empty(0, dtype=np.uint8)  # gathered, not yet cut
-    dense = False
 
-    def walk(i: int, count: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """The one-event loop over arrivals i .. i + count of the refill; it
+    def walk(i: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """The one-event loop over arrivals i .. i + _WALK of the refill; it
         lists the recorded events in other_t and other_d."""
         nonlocal recorded, next_spawn
         # the loop's counters as locals, stored back when the walk ends
         rank, spawn = recorded, next_spawn
         queue, times, dets = pending, other_t, other_d
-        for ta, da in zip(arrival_t[i : i + count].tolist(), arrival_d[i : i + count].tolist()):
+        for ta, da in zip(arrival_t[i : i + _WALK].tolist(), arrival_d[i : i + _WALK].tolist()):
             arrived = False
             while not arrived and rank < n:
                 if queue and queue[0][0] <= ta:
@@ -408,25 +413,19 @@ def _detector_runs(cfg: GeneratorConfig) -> Iterator[tuple[np.ndarray, np.ndarra
     while recorded < n:
         arrival_t, arrival_d = _arrivals(arrival_bg, clock, cfg.mean_interarrival)
         clock = float(arrival_t[-1])
-        if not dense:  # arrivals are stationary: once a refill is dense, later ones would be too
-            keep, chained = _kept_arrivals(arrival_t, arrival_d, last, tau)
-            kept = np.flatnonzero(keep).astype(np.int32)
-            kept_t, kept_d = arrival_t[kept], arrival_d[kept]
-            m = kept.size
-            kinds = _pulse_kinds(kept_t, kept_d, tau, delay) if prob > 0 else np.empty(0, np.int8)
-            handoffs = np.count_nonzero(kinds == _HANDOFF) + prob * np.count_nonzero(kinds == _LONE)
-            dense = _DENSE * max(chained, prob * handoffs) > _BATCH
-            kinds = kinds.tobytes()
-        walk_size = _PIECE if dense else _WALK
-        fast = not (dense or pending)  # the filter starts from last: synced
+        keep = _kept_arrivals(arrival_t, arrival_d, last, tau)
+        kept = np.flatnonzero(keep).astype(np.int32)
+        kept_t, kept_d = arrival_t[kept], arrival_d[kept]
+        m = kept.size
+        kinds = _pulse_kinds(kept_t, kept_d, tau, delay).tobytes() if prob > 0 else b""
         i = 0  # the next arrival
         while i < _BATCH and recorded < n:
-            if fast:
+            # at arrival 0 the filter starts from last: synced
+            if not pending and (i == 0 or _synced(i, arrival_t, arrival_d, keep, last, tau)):
                 i = leap(i)
             else:
-                yield from walk(i, walk_size)
-                i += walk_size
-            fast = not (dense or pending) and _synced(i, arrival_t, arrival_d, keep, last, tau)
+                yield from walk(i)
+                i += _WALK
         # freed before the events are gathered
         arrival_t = arrival_d = keep = kept = kinds = None
         yield from cut(recorded == n)

@@ -46,6 +46,19 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"^{field} must be finite"):
             GeneratorConfig("detector", n=10, seed=1, afterpulse_prob=0.5, **{field: value})
 
+    def test_dead_time_work_bound(self):
+        """n * dead_time / (2 * mean_interarrival), the expected arrivals the
+        dead time drops, may reach _MAX_DROPS and not pass it; no config is run."""
+        limit = simgen._MAX_DROPS
+        GeneratorConfig("detector", limit, 0, mean_interarrival=1.0, dead_time=2.0)
+        with pytest.raises(ValueError, match=f"^n={limit + 1} at dead_time=2.0 and mean_interarrival=1.0 "):
+            GeneratorConfig("detector", limit + 1, 0, mean_interarrival=1.0, dead_time=2.0)
+        with pytest.raises(ValueError, match="^n=1{400} is past the largest float$"):
+            GeneratorConfig("detector", int("1" * 400), 0)
+        # the benchmark's defects at the paper's scale; the bound is the detector's alone
+        GeneratorConfig("detector", 2**32 + 1, 7, dead_time=50.0, afterpulse_prob=0.05, afterpulse_delay=75.0)
+        GeneratorConfig("bernoulli", limit + 1, 0, mean_interarrival=1.0, dead_time=2.0)
+
     def test_kind_checked_by_generators(self):
         cfg = GeneratorConfig("bernoulli", n=8, seed=0)
         with pytest.raises(ValueError):
@@ -381,15 +394,13 @@ def test_flat_loop_matches_generator_loop(cfg, batch, piece):
     walk=st.integers(1, 8),
 )
 def test_numpy_path_matches_generator_loop(cfg, batch, piece, walk):
-    """With _DENSE = 0 no refill counts as dense, so every refill takes the
-    numpy path and hands over to the one-event loop at each conflict, however
-    many: small refills and walks cross every hand-over, refill and coin
-    batch boundary."""
+    """Every refill takes the numpy path and hands over to the one-event loop
+    at each conflict, however many: small refills and walks cross every
+    hand-over, refill and coin batch boundary."""
     with (
         mock.patch.object(simgen, "_BATCH", batch),
         mock.patch.object(simgen, "_PIECE", piece),
         mock.patch.object(simgen, "_WALK", walk),
-        mock.patch.object(simgen, "_DENSE", 0),
     ):
         tags, bits = gen_detector(cfg)
         ref_tags, ref_bits = _reference_detector(cfg)
@@ -417,16 +428,13 @@ def test_numpy_path_matches_generator_loop(cfg, batch, piece, walk):
         "dead-time-10-means-after-pulses",
     ],
 )
-@pytest.mark.parametrize("dense", [simgen._DENSE, 0], ids=["as-built", "numpy-path-only"])
-def test_matches_generator_loop_at_full_refills(defects, dense):
+def test_matches_generator_loop_at_full_refills(defects):
     """At the real _BATCH, 2^17 + 3 events cross an arrival refill and a coin
-    batch; with _DENSE = 0 no refill is left to the one-event loop, even
-    where after-pulses chain. A dead time of 10 mean interarrivals chains
-    nearly every arrival to the one before it on its detector, so as built
-    the first refill is dense on the chain side and the one-event loop walks
-    every refill. Near dead_time, whether an after-pulse passes rests on the
-    rounding of (t + delay) - t: just below dead_time it rounds up to
-    dead_time once t is large, so the after-pulse is kept."""
+    batch, even where after-pulses chain. A dead time of 10 mean
+    interarrivals chains nearly every arrival to the one before it on its
+    detector, so the dead-time filter walks nearly every arrival. Near
+    dead_time, whether an after-pulse passes rests on the rounding of
+    (t + delay) - t: just below dead_time it rounds up to dead_time once t
+    is large, so the after-pulse is kept."""
     cfg = GeneratorConfig("detector", (1 << 17) + 3, 11, **defects)
-    with mock.patch.object(simgen, "_DENSE", dense):
-        assert _output(*gen_detector(cfg)) == _output(*_reference_detector(cfg))
+    assert _output(*gen_detector(cfg)) == _output(*_reference_detector(cfg))
