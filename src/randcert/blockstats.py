@@ -6,17 +6,20 @@ each of the 2^i possible substrings are counted. Substrings map to counter
 indices by reading the i bits as a big-endian integer ("10" -> 2).
 
 Counting works on the packed bytes directly and never unpacks the
-sequence. A set of levels is counted in one walk over whole periods of
-lcm(8, *levels) bits (120 bits for levels 1..5), which always start on a
-byte and hold a fixed number of blocks of every level, a bounded slab of
-periods at a time, so working memory does not grow with n. Every block of
-a level 1..9 (the levels count_blocks takes) lies in one byte of the
-period or in the 16-bit window of a byte and the next, so the walk only
-histograms those windows and the bytes no window covers, and folds each
-block's counts out of them. The blocks after the last whole period are
-counted on their own. stream_level_counts runs the walk over a file one
-chunk of whole periods at a time and sums the chunks' counts, so it never
-holds the file.
+sequence. A set of levels is counted over whole periods of lcm(8, *levels)
+bits (120 bits for levels 1..5), which always start on a byte and hold a
+fixed number of blocks of every level. Each level is counted from a
+histogram of w-bit segments, where w is a multiple of the level and
+divides the period, so no block crosses a segment: levels 1, 2, 3, 4 and 6
+share 12-bit segments when 3 or 6 is counted, level 5 takes 10 bits, 7
+and 9 their own width, and every other level whole bytes. Each segment
+lies in one byte or in the big-endian 16-bit window of its first byte, so
+one shift and one mask read it, and a level's counts are the folds of its
+blocks out of the segment histogram. Segments are histogrammed a bounded
+slab at a time, so working memory does not grow with n. The blocks after
+the last whole period are counted on their own. stream_level_counts
+counts a file one chunk of whole periods at a time and sums the chunks'
+counts, so it never holds the file.
 """
 
 from __future__ import annotations
@@ -32,19 +35,19 @@ import numpy as np
 from . import bitstream
 from .bitstream import BitSequence
 
-# The longest block that always lies in one byte or in a 16-bit window of a
-# byte and the next (7 bits of skip + 9). The Borel test needs levels up to
-# i_max(n) <= 5 for any n < 2^64 and the coupled bound stops at level 8, so
-# no caller needs longer blocks.
+# The longest level whose segments always lie in one byte or in a 16-bit
+# window of a byte and the next (7 bits of skip + 9). The Borel test needs
+# levels up to i_max(n) <= 5 for any n < 2^64 and the coupled bound stops at
+# level 8, so no caller needs longer blocks.
 MAX_LEVEL = 9
 
-# Periods fed to one bincount, which copies them to intp: 1 MiB of working
-# memory.
+# Segments fed to one bincount, as intp: 1 MiB of working memory.
 _SLAB = 1 << 17
 
-# Bits per chunk of stream_level_counts, 1.875 MiB: whole slabs of whole
-# periods for levels 1..4 (24 bits), 1..5 and 1..6 (120 bits), so a chunked
-# count walks as many slabs as one call over the whole file.
+# Bits per chunk of stream_level_counts, 1.875 MiB: whole periods of levels
+# 1..4 (24 bits), 1..5 and 1..6 (120 bits), and whole slabs of the 12-bit
+# (5), 10-bit (3) and 8-bit (15) segment rows they are counted from, so a
+# chunked count makes as many bincounts as one call over the whole file.
 _CHUNK_BITS = 120 * _SLAB
 
 
@@ -111,75 +114,63 @@ def _fold(hist: np.ndarray, width: int, skip: int, i: int) -> np.ndarray:
     return hist.reshape(1 << skip, 1 << i, 1 << (width - skip - i)).sum(axis=(0, 2))
 
 
-def _fold_windows(periods: np.ndarray, levels: list[int]) -> dict[int, np.ndarray]:
-    """Counts of the blocks of every distinct level (each at most MAX_LEVEL)
-    in periods, one whole lcm(8, *levels)-bit period of packed bytes per row.
+def _width(i: int, levels) -> int:
+    """Bits in the segments level i is counted from: a multiple of i that
+    divides lcm(8, *levels), so whole segments tile each period."""
+    if 12 % i == 0 and (3 in levels or 6 in levels):
+        return 12
+    return {5: 10, 7: 7, 9: 9}.get(i, 8)
 
-    Every block lies in one byte of the period, or, when it crosses into the
-    next byte, in the big-endian 16-bit window of that byte and the next;
-    the last block of a period ends on the period boundary, so no window
-    leaves it. One walk, _SLAB periods at a time, histograms each window
-    that a block crosses (2^16 bins) and each byte that no window covers
-    (256 bins). Each window's histogram is reduced at most three times
-    before the next window is counted, so only one is held at a time: once
-    over its leading bits to the marginal of the bits from the first that
-    its crossing blocks read, from which each of those blocks is folded,
-    and once for each of its two bytes, as the row and column sums of a
-    (256, 256) view. (Summing over a leading axis walks contiguous rows;
-    summing out short trailing runs of the full histogram costs several
-    times as much.) The blocks inside one byte are folded at the end, once
-    per (level, skip), from the summed histograms of the bytes that hold
-    such a block.
-    """
-    pbytes = periods.shape[1]
-    # (level, byte, skip) of every block in one period
-    blocks = [(i, *divmod(o, 8)) for i in levels for o in range(0, 8 * pbytes, i)]
-    windows = {}  # byte -> (level, skip) of each block crossing into the next byte
-    for i, b, s in blocks:
-        if s + i > 8:
-            windows.setdefault(b, []).append((i, s))
-    first = {b: min(s for _, s in ws) for b, ws in windows.items()}  # first bit read
-    counts = {i: np.zeros(1 << i, dtype=np.int64) for i in levels}
-    byte_hists = np.zeros((pbytes, 256), dtype=np.int64)
-    for a in range(0, len(periods), _SLAB):
-        slab = periods[a : a + _SLAB]
-        for p in range(pbytes):
-            if p in windows:
-                hist = np.bincount(slab[:, p : p + 2].view(">u2")[:, 0], minlength=1 << 16)
-                lo = first[p]
-                tail = hist.reshape(1 << lo, -1).sum(axis=0)  # bits lo..15
-                for i, s in windows[p]:
-                    counts[i] += _fold(tail, 16 - lo, s - lo, i)
-                pair = hist.reshape(256, 256)  # (this byte, the next)
-                byte_hists[p] += pair.sum(axis=1)
-                if p + 1 not in windows:
-                    byte_hists[p + 1] += pair.sum(axis=0)
-                del hist, pair, tail  # freed before the next window's bincount
-            elif p - 1 not in windows:
-                byte_hists[p] += np.bincount(slab[:, p], minlength=256)
-    inside = {}  # (level, skip) -> bytes holding such a block whole
-    for i, b, s in blocks:
-        if s + i <= 8:
-            inside.setdefault((i, s), []).append(b)
-    for (i, s), bs in inside.items():
-        counts[i] += _fold(byte_hists[bs].sum(axis=0), 8, s, i)
-    return counts
+
+def _segment_hist(region: np.ndarray, width: int) -> np.ndarray:
+    """Histogram of the width-bit segments of region, packed bytes in whole
+    rows of lcm(8, width) bits, one bincount per segment of a row and slab.
+
+    A segment lies in one byte or in the big-endian 16-bit window of its
+    first byte, so one shift and one mask read it, into one intp buffer of
+    a slab that bincount then reads without a copy of its own."""
+    rows = region.reshape(-1, math.lcm(8, width) // 8)
+    hist = np.zeros(1 << width, dtype=np.int64)
+    mask = (1 << width) - 1
+    buf = np.empty(min(_SLAB, len(rows)), dtype=np.intp)
+    for a in range(0, len(rows), _SLAB):
+        slab = rows[a : a + _SLAB]
+        values = buf[: len(slab)]
+        for b, s in (divmod(o, 8) for o in range(0, 8 * rows.shape[1], width)):
+            bits = 8 if s + width <= 8 else 16
+            word = slab[:, b] if bits == 8 else slab[:, b : b + 2].view(">u2")[:, 0]
+            np.right_shift(word, bits - s - width, out=values)
+            if s:
+                values &= mask
+            hist += np.bincount(values, minlength=1 << width)
+    return hist
 
 
 def _count_packed(data: np.ndarray, nbits: int, levels) -> list[np.ndarray]:
     """Counts of the nbits // i blocks of the first nbits bits of packed bytes,
     one vector per level i in levels.
 
-    Every level is counted in one walk over whole periods of lcm(8, *levels)
-    bits (_fold_windows). The blocks after the last whole period are read
-    from one Python integer, so pad bits beyond nbits are never read as data.
+    Every level is counted over whole periods of lcm(8, *levels) bits, as
+    the sum over its block offsets of the folds of its segment histogram,
+    which the levels of one segment width share, or of the counts of a
+    multiple of it from the same segments. The blocks after the last whole
+    period are read from one Python integer, so pad bits beyond nbits are
+    never read as data.
     """
     if not levels:  # stream_level_counts below level 1: no walk at all
         return []
     period = math.lcm(8, *levels)
     full, pbytes = nbits // period, period // 8
-    rest = data[full * pbytes :]
-    counts = _fold_windows(data[: full * pbytes].reshape(full, pbytes), sorted(set(levels)))
+    region, rest = data[: full * pbytes], data[full * pbytes :]
+    widths = {i: _width(i, levels) for i in set(levels)}
+    hists = {w: _segment_hist(region, w) for w in set(widths.values())}
+    counts = {}
+    for i in sorted(widths, reverse=True):
+        # a block of a multiple of i in the same segments holds whole blocks
+        # of i: folding its counts reads 2^j bins, not the 2^width histogram
+        j = next((j for j in counts if j % i == 0 and widths[j] == widths[i]), None)
+        hist, width = (counts[j], j) if j else (hists[widths[i]], widths[i])
+        counts[i] = sum(_fold(hist, width, s, i) for s in range(0, width, i))
     for i, c in counts.items():
         tail = nbits // i - full * (period // i)  # blocks after the last whole period
         tail_bytes = rest[: (tail * i + 7) // 8].tobytes()

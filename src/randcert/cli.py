@@ -7,7 +7,9 @@ Exit codes are the machine contract: 0 = all requested criteria pass,
 from __future__ import annotations
 
 import argparse
+import atexit
 import contextlib
+import gc
 import os
 import sys
 
@@ -354,6 +356,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    if argv is None:
+        # The process's own command (the randcert script, python -m
+        # randcert.cli): objects frozen at exit spare the interpreter's
+        # teardown the collector's walk over the numpy and randcert heap.
+        # Every writer closes its file in a with block, so nothing waits for
+        # that walk. In-process callers pass argv and are left as they are.
+        atexit.register(gc.freeze)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -26,8 +26,8 @@ _CHUNK = 1 << 22  # uniforms drawn at a time; a multiple of 8, so the packed chu
 _BATCH = 1 << 16  # uniforms per refill of the detector streams; fixes the output bytes
 _PIECE = 1 << 12  # half a detector run; the most events a walk lists before it cuts
 _WALK = 4  # arrivals listed at a time where a conflict interrupts the numpy path
-# most expected arrivals a detector run may drop; at about 0.23 us each
-# (2-core Intel Xeon, numpy 2.4) a run at the limit takes about 4 min
+# most expected arrivals a detector run may drop; at about 0.12 us each
+# (2-core Intel Xeon, numpy 2.4) a run at the limit takes about 2.2 min
 _MAX_DROPS = 1 << 30
 _HANDOFF, _LONE, _VOID = 0, 1, 2  # what an after-pulse does; see _pulse_kinds
 
@@ -180,13 +180,14 @@ def _kept_arrivals(
         close = np.diff(t, prepend=last[det]) < tau
         chained = np.flatnonzero(close[1:] & close[:-1]) + 1
         kept = ~close
+        times = memoryview(t)  # reads Python floats, not numpy scalars
         after = -1  # the chained arrival before, or -1
         for j in chained.tolist():
             if j != after + 1:  # arrival j - 1 opens the run: dropped, after a kept one
-                last_kept = t[j - 2] if j >= 2 else last[det]
-            if t[j] - last_kept >= tau:
+                last_kept = times[j - 2] if j >= 2 else last[det]
+            if times[j] - last_kept >= tau:
                 kept[j] = True
-                last_kept = t[j]
+                last_kept = times[j]
             after = j
         keep[idx] = kept
     return keep

@@ -413,7 +413,7 @@ def test_stream_level_counts_memory_is_flat_in_n(tmp_path):
             tracemalloc.stop()
     small, large = peaks
     assert large <= 1.1 * small
-    assert large < 4 * 2**20  # one 1.875 MiB chunk, a 1 MiB bincount copy, a 0.5 MiB histogram
+    assert large < 4 * 2**20  # one 1.875 MiB chunk and a 1 MiB slab of segment values
 
 
 def test_stream_level_counts_memory_is_flat_in_n_on_a_pipe():
@@ -446,17 +446,23 @@ def test_stream_level_counts_memory_is_flat_in_n_on_a_pipe():
         assert not writer.is_alive()
     small, large = peaks
     assert large <= 1.1 * small
-    assert large < 4 * 2**20  # one 1.875 MiB chunk, a 1 MiB bincount copy, a 0.5 MiB histogram
+    assert large < 4 * 2**20  # one 1.875 MiB chunk and a 1 MiB slab of segment values
 
 
-def test_kernel_holds_one_window_histogram_at_a_time():
-    """Levels 1..5 have blocks crossing every one of the 14 byte boundaries
-    inside a 120-bit period; each window's 2^16-bin histogram is folded before
-    the next is counted, so the walk's scratch stays under 2 MiB (all 14 held
-    at once would take 7 MiB)."""
+@pytest.mark.parametrize(
+    "levels, bound",
+    [((1, 2, 3, 4, 5), 2 * 2**20), ((1, 2, 3, 4), 1.5 * 2**20)],
+    ids=["L1-5", "L1-4"],
+)
+def test_kernel_scratch_is_one_slab_of_segments(levels, bound):
+    """The count holds one slab of segment values at a time, in a 1 MiB
+    intp buffer that bincount reads without a copy, and a histogram of at
+    most 4,096 bins per segment width (12 and 10 bits for levels 1..5, 12
+    for levels 1..4), so its scratch at 2^24 bits stays under 2 MiB and
+    1.5 MiB."""
 
     def count(seq):
         data = np.frombuffer(seq.data, dtype=np.uint8)
-        return blockstats._count_packed(data, seq.n, (1, 2, 3, 4, 5))
+        return blockstats._count_packed(data, seq.n, levels)
 
-    assert _count_peak_bytes(1 << 24, count) < 2 * 2**20
+    assert _count_peak_bytes(1 << 24, count) < bound

@@ -1,4 +1,6 @@
+import atexit
 import dataclasses
+import gc
 import hashlib
 import json
 import math
@@ -876,6 +878,48 @@ def test_json_to_stdout_is_the_only_stdout(unbiased_file, tmp_path, capsys, argv
 def test_usage_error_exit_code():
     assert main(["analyze"]) == EXIT_ERROR
     assert main([]) == EXIT_ERROR
+
+
+# randcert.cli run as `python -m` runs it, after an exit hook that prints the
+# collector's frozen object count; exit hooks run last-registered first, so
+# it prints after any hook that main registers has run.
+_FROZEN_AT_EXIT = """import atexit, gc, runpy, sys
+atexit.register(lambda: print("frozen", gc.get_freeze_count(), file=sys.stderr))
+runpy.run_module("randcert.cli", run_name="__main__", alter_sys=True)
+"""
+
+_OWN_COMMANDS = [
+    (["bounds", "1000"], EXIT_PASS),
+    (["--help"], EXIT_PASS),
+    (["analyze", "--help"], EXIT_PASS),
+    (["analyze"], EXIT_ERROR),
+    (["nosuch"], EXIT_ERROR),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, code", _OWN_COMMANDS, ids=["bounds", "help", "command-help", "usage-error", "unknown-command"]
+)
+def test_own_command_freezes_the_heap_before_exit(argv, code, capsys):
+    """Run as the process's own command, main freezes the heap before the
+    process exits, so teardown skips the collector's walk over it, on the
+    help and usage-error paths too; exit codes are those of an in-process main."""
+    child = subprocess.run([sys.executable, "-c", _FROZEN_AT_EXIT, *argv], capture_output=True,
+                           text=True, env=python_env(), timeout=60)
+    assert child.returncode == code == main(argv)
+    last = child.stderr.splitlines()[-1].split()
+    assert last[0] == "frozen" and int(last[1]) > 0
+
+
+def test_in_process_main_leaves_the_collector_as_it_is(capsys):
+    """A caller that passes argv keeps its process as it was: main freezes
+    nothing and registers no exit hook that would."""
+    for argv, code in _OWN_COMMANDS:  # the first call loads the library modules
+        assert main(argv) == code
+    frozen, hooks = gc.get_freeze_count(), atexit._ncallbacks()
+    for argv, code in _OWN_COMMANDS:
+        assert main(argv) == code
+    assert (gc.get_freeze_count(), atexit._ncallbacks()) == (frozen, hooks)
 
 
 # Run main in a fresh interpreter; print its exit code and the randcert, numpy,

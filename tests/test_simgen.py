@@ -373,30 +373,13 @@ def detector_configs(draw):
     cfg=detector_configs(),
     batch=st.sampled_from([1, 3, 16, 64]),
     piece=st.integers(1, 40),
-)
-def test_flat_loop_matches_generator_loop(cfg, batch, piece):
-    """Small refills, walks and pieces cross every refill, walk, early-cut and
-    piece boundary many times; both sides draw with the same patched refill size."""
-    with (
-        mock.patch.object(simgen, "_BATCH", batch),
-        mock.patch.object(simgen, "_PIECE", piece),
-    ):
-        tags, bits = gen_detector(cfg)
-        ref_tags, ref_bits = _reference_detector(cfg)
-    assert _output(tags, bits) == _output(ref_tags, ref_bits)
-
-
-@settings(max_examples=150, deadline=None)
-@given(
-    cfg=detector_configs(),
-    batch=st.sampled_from([1, 3, 16, 64]),
-    piece=st.integers(1, 40),
     walk=st.integers(1, 8),
 )
 def test_numpy_path_matches_generator_loop(cfg, batch, piece, walk):
     """Every refill takes the numpy path and hands over to the one-event loop
-    at each conflict, however many: small refills and walks cross every
-    hand-over, refill and coin batch boundary."""
+    at each conflict, however many: small refills, walks and pieces cross
+    every hand-over, refill, coin batch, early-cut and piece boundary; both
+    sides draw with the same patched refill size."""
     with (
         mock.patch.object(simgen, "_BATCH", batch),
         mock.patch.object(simgen, "_PIECE", piece),
