@@ -88,15 +88,16 @@ def max_borel_level(n: int) -> int:
     return i
 
 
-def check_levels(n: int, levels: int | None = None) -> int:
+def check_levels(n: int, levels: int | None = None, about: str | None = None) -> int:
     """Highest level to test on n bits: levels itself if 1 <= levels <= i_max(n),
-    i_max(n) when levels is None; anything else is refused."""
+    i_max(n) when levels is None; anything else is refused, for the n that
+    about names (default "n=<n>"), such as a bound on an n not yet read."""
     imax = max_borel_level(n)
     if levels is None:
         return imax
     if not 1 <= levels <= imax:
         raise ValueError(
-            f"level {levels} is outside 1..i_max={imax} for n={n} "
+            f"level {levels} is outside 1..i_max={imax} for {about or f'n={n}'} "
             f"(level i needs n >= 2^(2^i))"
         )
     return levels
@@ -195,11 +196,24 @@ def level_counts(seq: BitSequence, levels: int | None = None) -> list[BlockCount
     return [BlockCounts(i, c, seq.n // i) for i, c in zip(top, counts)]
 
 
-def _top_level(bound: int, levels: int | None) -> int:
-    """The highest level worth counting on at most bound bits (0 for none);
-    check_levels on the n found decides which of them are reported."""
-    imax = max_borel_level(bound) if bound >= 4 else 0
-    return imax if levels is None else max(0, min(levels, imax))
+def input_top_level(path, fmt: str, n: int | None = None, levels: int | None = None) -> int:
+    """The highest level worth counting on a "packed" or "ascii" bit file of
+    n packed bits (default: every bit), from an upper bound on its n: the
+    requested n, or 8 bits a byte of a packed file, or 1 bit a byte of an
+    ASCII file; an input with no size, such as a pipe, has fewer than 2^64
+    bits, so up to level 5. A level outside 1..i_max of that bound is refused
+    here, before anything is read. Below 4 bits the bound rules out every
+    level, and the n read decides how the input is refused (0 is returned)."""
+    if fmt != "packed" and n is not None:
+        raise ValueError("n applies to packed input only")
+    bound, about = n, f"n={n}"
+    if n is None:
+        info = os.stat(path)
+        bound, about = (1 << 64) - 1, "n < 2^64"
+        if stat.S_ISREG(info.st_mode):
+            bound = 8 * info.st_size if fmt == "packed" else info.st_size
+            about = f"n={bound}" if fmt == "packed" else f"n <= {bound}"
+    return check_levels(bound, levels, about) if bound >= 4 else 0
 
 
 def stream_level_counts(
@@ -209,23 +223,13 @@ def stream_level_counts(
     "packed" or "ascii" bit file, one chunk at a time, so the file is never
     held whole. n is the packed bit count to read (default: every bit).
 
-    The levels are fixed before the first chunk, from an upper bound on n:
-    the requested n, or 8 bits a byte of a packed file, or 1 bit a byte of
-    an ASCII file; an input with no size, such as a pipe, is counted up to
-    level 5, the highest i_max of any n < 2^64. Levels above i_max of the n
-    read are dropped at the end. Each chunk is _CHUNK_BITS rounded down to
-    whole periods of lcm(8, 1..top) bits, so no block spans two chunks and
-    the chunks' counts sum to the whole file's.
+    The levels are fixed, and checked, before the first chunk, by
+    input_top_level. Levels above i_max of the n read are dropped at the
+    end, and a level it does not reach is refused there. Each chunk is
+    _CHUNK_BITS rounded down to whole periods of lcm(8, 1..top) bits, so no
+    block spans two chunks and the chunks' counts sum to the whole file's.
     """
-    if fmt != "packed" and n is not None:
-        raise ValueError("n applies to packed input only")
-    bound = n
-    if n is None:
-        info = os.stat(path)
-        bound = (1 << 64) - 1  # no size, as of a pipe: fewer than 2^64 bits
-        if stat.S_ISREG(info.st_mode):
-            bound = 8 * info.st_size if fmt == "packed" else info.st_size
-    top = _top_level(bound, levels)
+    top = input_top_level(path, fmt, n, levels)
     period = math.lcm(8, *range(1, top + 1))
     chunk_bits = period * max(1, _CHUNK_BITS // period)
     if fmt == "packed":

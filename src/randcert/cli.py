@@ -31,13 +31,23 @@ POSTERIOR_MAX_LEVEL = 4
 ANALYZE_LEVEL4_MAX_BLOCKS = 2
 
 
+def _input_top(args, levels: int | None) -> int:
+    """The highest level worth counting on the input. --bits on ASCII input,
+    and a level that no input of its size reaches, are refused before
+    anything is read."""
+    from . import blockstats
+
+    if args.format == "ascii" and args.bits is not None:
+        raise ValueError("--bits applies to packed input only")  # the file states its length
+    return blockstats.input_top_level(args.input, args.format, args.bits, levels)
+
+
 def _count_input(args, levels: int | None):
     """n and block counts at levels 1..check_levels(n, levels) of the input,
     from the one streamed pass that analyze and posterior share."""
     from . import blockstats
 
-    if args.format == "ascii" and args.bits is not None:
-        raise ValueError("--bits applies to packed input only")  # the file states its length
+    _input_top(args, levels)
     return blockstats.stream_level_counts(args.input, args.format, args.bits, levels)
 
 
@@ -55,9 +65,9 @@ def _write(chunks, path: str, fmt: str, n: int | None = None) -> None:
 
 
 def _stdout(path: str) -> bool:
-    """Whether --out is standard output: `-`, or any name of the file that
-    descriptor 1 is open on, such as /dev/stdout, /dev/fd/1 or a file that
-    stdout is redirected to."""
+    """Whether an output path is standard output: `-`, or any name of the
+    file that descriptor 1 is open on, such as /dev/stdout, /dev/fd/1 or a
+    file that stdout is redirected to."""
     if path == "-":
         return True
     try:
@@ -67,7 +77,7 @@ def _stdout(path: str) -> bool:
 
 
 def _in_place(path: str) -> bool:
-    """Whether --out is written where it is, with no temporary file: standard
+    """Whether an output is written where it is, with no temporary file: standard
     output, an existing FIFO, device or other non-regular file, or a path
     with no file name, which opening refuses."""
     if _stdout(path):
@@ -76,15 +86,16 @@ def _in_place(path: str) -> bool:
 
 
 @contextlib.contextmanager
-def _output(path: str, fmt: str, n: int | None):
-    """What the writer opens for --out, an output of n bits or time tags
-    (None: not known before writing). Standard output is a copy of its
-    descriptor, which the writer's open() closes, so `>>` appends and nothing
-    truncates it. A regular --out is refused if the output's smallest size
-    (for time-tag text, a digit and a newline per tag) exceeds the free space
-    beside it; else it gets a temporary file beside it, moved onto it on
-    success and removed on any error or SIGTERM, so a failed run leaves no
-    partial output and an existing --out untouched."""
+def _output(path: str, fmt: str | None = None, n: int | None = None):
+    """What the writer opens for an output path (--out, --json or --csv), an
+    output of n bits or time tags in format fmt (None: not known before
+    writing). Standard output is a copy of its descriptor, which the
+    writer's open() closes, so `>>` appends and nothing truncates it. A
+    regular output is refused if its smallest size (for time-tag text, a
+    digit and a newline per tag) exceeds the free space beside it; else it
+    gets a temporary file beside it, moved onto it on success and removed on
+    any error or SIGTERM, so a failed run leaves no partial output and an
+    existing file untouched."""
     if _in_place(path):
         if _stdout(path):
             path = os.dup(1)
@@ -134,25 +145,45 @@ def _output(path: str, fmt: str, n: int | None):
 
 
 def _summary(args):
-    """Where a command prints its text summary: stderr when stdout may carry
-    the command's output, the JSON report of --json - or the data of an --out
-    written in place, such as standard output, so that stdout holds only that."""
-    if getattr(args, "json", None) == "-" or ("out" in args and _in_place(args.out)):
-        return sys.stderr
-    return sys.stdout
+    """Where main sends a command's stdout, its text summary: stderr when an
+    output (--out, --json or --csv) is written in place, such as standard
+    output, so that stdout holds only that output."""
+    paths = [getattr(args, name, None) for name in ("out", "json", "csv")]
+    return sys.stderr if any(p is not None and _in_place(p) for p in paths) else sys.stdout
 
 
-def _emit_json(obj, path: str | None) -> None:
+def _one_file(a: str, b: str) -> bool:
+    """Whether two output paths name one file: standard output by any of its
+    names, one existing file, or one path."""
+    if _stdout(a) or _stdout(b):
+        return _stdout(a) == _stdout(b)
+    with contextlib.suppress(OSError):  # one is not there yet
+        return os.path.samefile(a, b)
+    return os.path.realpath(a) == os.path.realpath(b)
+
+
+def _open_reports(args, files: contextlib.ExitStack) -> None:
+    """Replace each --json and --csv path on args by its file, opened through
+    _output before the command reads any input, so a report that cannot be
+    written ends the run at once; files closes each, and moves it into place
+    when the run ends without an error. Two reports that name one file are
+    refused."""
+    paths = {name: getattr(args, name) for name in ("json", "csv") if getattr(args, name, None) is not None}
+    if len(paths) == 2 and _one_file(*paths.values()):
+        raise ValueError(f"--json {args.json} and --csv {args.csv} name one file")
+    for name, path in paths.items():
+        target = files.enter_context(_output(path))
+        setattr(args, name, files.enter_context(open(target, "w", newline="")))
+
+
+def _emit_json(obj, fh) -> None:
+    """Write obj as a JSON report, ended by a newline, to fh, an open --json
+    (None: no report)."""
     import json
 
-    if path is None:
-        return
-    if path == "-":
-        json.dump(obj, sys.stdout, indent=2)
-        sys.stdout.write("\n")
-    else:
-        with open(path, "w") as fh:
-            json.dump(obj, fh, indent=2)
+    if fh is not None:
+        json.dump(obj, fh, indent=2)
+        fh.write("\n")
 
 
 def cmd_analyze(args) -> int:
@@ -184,29 +215,25 @@ def cmd_analyze(args) -> int:
         import csv
 
         rhs_by_level = {r.level: r.rhs for r in bound_reports}
-        with open(args.csv, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["level", "substring", "deviation", "borel_bound", "bayes_rhs_for_level"])
-            for level, bits, dev, bound in borel.reports_to_csv_rows(borel_reports):
-                w.writerow([level, bits, repr(dev), repr(bound), repr(rhs_by_level[level])])
+        w = csv.writer(args.csv)
+        w.writerow(["level", "substring", "deviation", "borel_bound", "bayes_rhs_for_level"])
+        for level, bits, dev, bound in borel.reports_to_csv_rows(borel_reports):
+            w.writerow([level, bits, repr(dev), repr(bound), repr(rhs_by_level[level])])
 
-    out = _summary(args)
-    print(f"n = {n}, levels 1..{len(counts)} (i_max = {blockstats.max_borel_level(n)})", file=out)
+    print(f"n = {n}, levels 1..{len(counts)} (i_max = {blockstats.max_borel_level(n)})")
     for r in borel_reports:
         print(
             f"  borel level {r.level}: max |dev| = {r.max_abs_deviation:.6g} "
             f"{'<' if r.passes else '>='} bound {r.bound:.6g} -> "
-            f"{'pass' if r.passes else 'FAIL'}",
-            file=out,
+            f"{'pass' if r.passes else 'FAIL'}"
         )
     for r in bound_reports:
         print(
             f"  bayes level {r.level}: lhs = {r.lhs:.6g} "
             f"{'<' if r.passes else '>='} rhs {r.rhs:.6g} -> "
-            f"{'pass' if r.passes else 'FAIL'}",
-            file=out,
+            f"{'pass' if r.passes else 'FAIL'}"
         )
-    print(f"overall: {'pass' if overall else 'FAIL'}", file=out)
+    print(f"overall: {'pass' if overall else 'FAIL'}")
     return EXIT_PASS if overall else EXIT_FAIL
 
 
@@ -221,11 +248,10 @@ def cmd_bounds(args) -> int:
         for i in range(1, levels + 1)
     ]
     _emit_json({"n": n, "bounds": rows}, args.json)
-    out = _summary(args)
-    print(f"n = {n}, i_max = {blockstats.max_borel_level(n)}", file=out)
-    print(f"{'level':>5}  {'borel_bound':>14}  {'bayes_rhs':>14}", file=out)
+    print(f"n = {n}, i_max = {blockstats.max_borel_level(n)}")
+    print(f"{'level':>5}  {'borel_bound':>14}  {'bayes_rhs':>14}")
     for row in rows:
-        print(f"{row['i']:>5}  {row['borel_bound']:>14.6g}  {row['bayes_rhs']:>14.6g}", file=out)
+        print(f"{row['i']:>5}  {row['borel_bound']:>14.6g}  {row['bayes_rhs']:>14.6g}")
     return EXIT_PASS
 
 
@@ -248,7 +274,7 @@ def cmd_extract(args) -> int:
             yield seq
 
     _write(bits(), args.out, args.out_format)
-    print(f"extracted n = {n} bits, ones fraction = {ones / n:.6f}", file=_summary(args))
+    print(f"extracted n = {n} bits, ones fraction = {ones / n:.6f}")
     return EXIT_PASS
 
 
@@ -268,29 +294,31 @@ def cmd_generate(args) -> int:
     else:
         out = (simgen.stream_bernoulli if cfg.kind == simgen.BERNOULLI else simgen.stream_markov)(cfg)
     _write(out, args.out, args.out_format, cfg.n)
-    print(f"wrote {args.out} ({cfg.kind}, n = {cfg.n}, seed = {cfg.seed})", file=_summary(args))
+    print(f"wrote {args.out} ({cfg.kind}, n = {cfg.n}, seed = {cfg.seed})")
     return EXIT_PASS
 
 
 def cmd_posterior(args) -> int:
     from . import bayes, partitions
 
-    _, per_level = _count_input(args, args.level)
+    i = args.level
+    if _input_top(args, i):  # i is in range for the input: check the model space before the count
+        if (1 << i) > 8 and args.max_blocks is None:
+            raise ValueError(
+                f"full enumeration at level {i} has B_{1 << i} models; pass --max-blocks "
+                f"(e.g. 2) to restrict the model space"
+            )
+        partitions.enumerate_partitions(1 << i, args.max_blocks)  # refuses a bad cap; walks nothing
+    _, per_level = _count_input(args, i)
     counts = per_level[-1]  # levels 1..i share one walk; level i is scored
-    i = counts.level
-    if (1 << i) > 8 and args.max_blocks is None:
-        raise ValueError(
-            f"full enumeration at level {i} has B_{1 << i} models; pass --max-blocks "
-            f"(e.g. 2) to restrict the model space"
-        )
     models = list(partitions.enumerate_partitions(1 << i, args.max_blocks))
     table = bayes.posterior(counts, models)
     _emit_json(table.to_json_dict(), args.json)
-    best, out = table.models[table.best_index], _summary(args)
-    print(f"level {i}: {len(models)} models", file=out)
-    print(f"  best model: {best.rgs_string()} (posterior {table.posteriors[table.best_index]:.6g})", file=out)
+    best = table.models[table.best_index]
+    print(f"level {i}: {len(models)} models")
+    print(f"  best model: {best.rgs_string()} (posterior {table.posteriors[table.best_index]:.6g})")
     if table.symmetric_posterior is not None:
-        print(f"  symmetric-model posterior: {table.symmetric_posterior:.6g}", file=out)
+        print(f"  symmetric-model posterior: {table.symmetric_posterior:.6g}")
     return EXIT_PASS if best.is_symmetric else EXIT_FAIL
 
 
@@ -308,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--max-level", type=int, default=None)
     sp.add_argument("--bayes-posterior", action="store_true", help="also compute posteriors")
     sp.add_argument("--json", default=None, help="write JSON report here ('-' for stdout)")
-    sp.add_argument("--csv", default=None, help="write per-substring CSV here")
+    sp.add_argument("--csv", default=None, help="write per-substring CSV here ('-' for stdout)")
     sp.set_defaults(func=cmd_analyze)
 
     sp = sub.add_parser("bounds", help="print bound values for a given n")
@@ -369,7 +397,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_ERROR if exc.code else EXIT_PASS
     try:
-        return args.func(args)
+        with contextlib.ExitStack() as files, contextlib.redirect_stdout(_summary(args)):
+            _open_reports(args, files)
+            return args.func(args)
     except (RandcertError, ValueError, OSError, IndexError, MemoryError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import threading
 import tracemalloc
 from collections import Counter
@@ -361,6 +362,39 @@ def test_stream_level_counts_read_a_pipe(tmp_path, fmt, raw, n):
         assert stream_level_counts(f"/dev/fd/{r}", fmt, n) == stream_level_counts(regular, fmt, n)
     finally:
         os.close(r)
+
+
+@pytest.mark.parametrize(
+    "fmt, raw, pipe, level, error",
+    [
+        ("packed", b"\xab" * 8192, False, 5, "level 5 is outside 1..i_max=4 for n=65536"),
+        ("packed", b"\xab" * 8192, False, 0, "level 0 is outside 1..i_max=4 for n=65536"),
+        ("ascii", b"01\n" * 21846, False, 5, "level 5 is outside 1..i_max=4 for n <= 65538"),
+        ("packed", b"\xab", True, 6, "level 6 is outside 1..i_max=5 for n < 2^64"),
+        ("ascii", b"01\n", True, -1, "level -1 is outside 1..i_max=5 for n < 2^64"),
+    ],
+    ids=["packed-above", "packed-below", "ascii", "pipe-packed", "pipe-ascii"],
+)
+def test_stream_level_counts_refuse_a_level_no_input_of_its_size_reaches(tmp_path, fmt, raw, pipe, level, error):
+    """A level outside 1..i_max of the bound on n (a packed file's bit count,
+    an ASCII file's byte count, below 2^64 for a pipe) is refused before the
+    first read, naming no n that was not read; a packed file's bound is its
+    n, so there the message is the one the n read gives."""
+    path = tmp_path / "bits"
+    path.write_bytes(raw)
+    r, w = os.pipe()
+    os.write(w, raw if pipe else b"")  # the pipe cases hold a few bytes, under its buffer
+    os.close(w)
+    try:
+        with mock.patch.object(blockstats.bitstream, f"stream_{fmt}", side_effect=AssertionError("read")):
+            with pytest.raises(ValueError) as exc:
+                stream_level_counts(f"/dev/fd/{r}" if pipe else path, fmt, None, level)
+    finally:
+        os.close(r)
+    assert str(exc.value) == f"{error} (level i needs n >= 2^(2^i))"
+    if fmt == "packed" and not pipe:
+        with pytest.raises(ValueError, match=re.escape(str(exc.value))):
+            check_levels(8 * len(raw), level)
 
 
 def test_stream_level_counts_refuse_n_for_ascii(tmp_path):

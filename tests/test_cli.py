@@ -415,55 +415,80 @@ def test_pipeline_through_stdout_matches_files(tmp_path, stdout):
     ["-", "/dev/stdout", "/dev/fd/1", "/proc/self/fd/1"],
     ids=["dash", "dev-stdout", "dev-fd-1", "proc-self-fd-1"],
 )
-def test_stdout_appended_to_a_file_keeps_its_bytes(tmp_path, stdout):
-    """With stdout appended to a regular file, as by `>> log`, generate and
-    extract add their data after the bytes it held: standard output, by any
-    of its names, is written through its own descriptor, never reopened,
-    truncated or replaced, and no file named after --out is made."""
+def test_stdout_appended_to_a_file_keeps_its_bytes(tmp_path, capsys, stdout):
+    """With stdout appended to a regular file, as by `>> log`, each command
+    adds its output (--out, --json or --csv) after the bytes the file held:
+    standard output, by any of its names, is written through its own
+    descriptor, never reopened, truncated or replaced, no file named after
+    the output is made, and the text summary goes to stderr."""
     tags, bits, log = tmp_path / "tags.txt", tmp_path / "bits.bin", tmp_path / "log"
     gen = ["generate", "--kind", "detector", "--n", "1000", "--seed", "5"]
     gen += ["--out-format", "timetags-text", "--out"]
     ext = ["extract", str(tags), "--format", "text", "--kind", "timestamps", "--out"]
+    analyze = ["analyze", str(bits), "--format", "packed"]
+    reports = [
+        analyze + ["--json"],
+        analyze + ["--csv"],
+        ["bounds", "1048576", "--json"],
+        ["posterior", str(bits), "--format", "packed", "--level", "2", "--json"],
+    ]
     assert main(gen + [str(tags)]) == EXIT_PASS
     assert main(ext + [str(bits)]) == EXIT_PASS
+    (tmp_path / "ref").mkdir()
+    capsys.readouterr()
+    want, codes, summaries = [tags.read_bytes(), bits.read_bytes()], [EXIT_PASS] * 2, [None] * 2
+    for k, argv in enumerate(reports):  # each report and summary as written to files
+        ref = tmp_path / "ref" / str(k)
+        codes.append(main(argv + [str(ref)]))
+        want.append(ref.read_bytes())
+        summaries.append(capsys.readouterr().out.encode())
     log.write_bytes(b"HEADER\n")
-    for argv in (gen, ext):
+    for argv, code, summary in zip([gen, ext, *reports], codes, summaries):
         with open(log, "ab") as fh:
             command = [sys.executable, "-m", "randcert.cli", *argv, stdout]
-            subprocess.run(
-                command, stdout=fh, stderr=subprocess.PIPE, cwd=tmp_path, env=python_env(), check=True
-            )
-    assert log.read_bytes() == b"HEADER\n" + tags.read_bytes() + bits.read_bytes()
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["bits.bin", "log", "tags.txt"]
+            run = subprocess.run(command, stdout=fh, stderr=subprocess.PIPE, cwd=tmp_path, env=python_env())
+        assert run.returncode == code
+        assert summary is None or run.stderr == summary
+    assert log.read_bytes() == b"HEADER\n" + b"".join(want)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bits.bin", "log", "ref", "tags.txt"]
 
 
 def test_sigterm_leaves_no_temporary_file(tmp_path):
     """A run ended by SIGTERM exits with the status the signal gives, 143,
-    and, as on any error, leaves no temporary file and an existing --out as
-    it was. The input never ends and has no fault, so only SIGTERM ends the run."""
+    and, as on any error, leaves no temporary file and an existing --out or
+    report as it was. The input never ends and has no fault, so only SIGTERM
+    ends the run."""
     out = tmp_path / "x"
     out.write_bytes(b"old bits")
-    command = [sys.executable, "-m", "randcert.cli", "extract", "/dev/stdin", "--format", "text"]
-    command += ["--kind", "timestamps", "--out", str(out)]
-    with endless_pipe(b"10\n", b"30\n") as stdin:
-        run = subprocess.Popen(command, stdin=stdin, stderr=subprocess.PIPE, env=python_env())
-        try:
-            deadline = time.monotonic() + 30
-            while not list(tmp_path.glob(".x.*")):  # the handler is set before the file is made
-                assert run.poll() is None and time.monotonic() < deadline
-                time.sleep(0.01)
-            run.terminate()
-            assert run.wait(timeout=10) == 128 + 15
-            assert run.stderr.read() == b""
-        finally:
-            run.kill()
-            run.communicate()
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["x"]
-    assert out.read_bytes() == b"old bits"
+    extract_argv = ["extract", "/dev/stdin", "--format", "text", "--kind", "timestamps", "--out", str(out)]
+    analyze_argv = ["analyze", "/dev/stdin", "--format", "ascii", "--json", str(out)]
+    for argv, head, body in [(extract_argv, b"10\n", b"30\n"), (analyze_argv, b"", b"0110\n")]:
+        with endless_pipe(head, body) as stdin:
+            command = [sys.executable, "-m", "randcert.cli", *argv]
+            run = subprocess.Popen(command, stdin=stdin, stderr=subprocess.PIPE, env=python_env())
+            try:
+                deadline = time.monotonic() + 30
+                while not list(tmp_path.glob(".x.*")):  # the handler is set before the file is made
+                    assert run.poll() is None and time.monotonic() < deadline
+                    time.sleep(0.01)
+                run.terminate()
+                assert run.wait(timeout=10) == 128 + 15
+                assert run.stderr.read() == b""
+            finally:
+                run.kill()
+                run.communicate()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["x"]
+        assert out.read_bytes() == b"old bits"
 
 
-_TEXT = ["--format", "text", "--kind", "timestamps"]
+_TEXT = ["extract", "--format", "text", "--kind", "timestamps"]
 _OUT = ["--out", "{tmp}/x"]
+_PACKED = ["analyze", "--format", "packed"]
+_POSTERIOR = ["posterior", "--format", "packed", "--level"]
+
+
+def _level_error(level: int) -> str:
+    return f"level {level} is outside 1..i_max=5 for n < 2^64 (level i needs n >= 2^(2^i))"
 
 
 @pytest.mark.parametrize(
@@ -480,28 +505,50 @@ _OUT = ["--out", "{tmp}/x"]
         (
             np.array([10, 5], dtype="<u8").tobytes(),
             np.array([30], dtype="<u8").tobytes(),
-            ["--format", "binary", "--kind", "timestamps", *_OUT],
+            ["extract", "--format", "binary", "--kind", "timestamps", *_OUT],
             "timestamps decrease at index 1 (10 -> 5)",
         ),
         (
             b"",
             b"\xff" * 8,
-            ["--format", "binary", "--kind", "interarrivals", *_OUT],
+            ["extract", "--format", "binary", "--kind", "interarrivals", *_OUT],
             "time value exceeds signed 64-bit range",
         ),
+        (b"", b"\xab", _PACKED + ["--max-level", "0"], _level_error(0)),
+        (b"", b"0110\n", ["analyze", "--format", "ascii", "--max-level", "-1"], _level_error(-1)),
+        (b"", b"\xab", _PACKED + ["--max-level", "7"], _level_error(7)),
+        (b"", b"\xab", _PACKED + ["--json", "{tmp}/missing/r"], "[Errno 2] No such file or directory: '{tmp}/missing/r'"),
+        (b"", b"\xab", _PACKED + ["--json", "{tmp}/r", "--csv", "{tmp}/r"], "--json {tmp}/r and --csv {tmp}/r name one file"),
+        (b"", b"\xab", _PACKED + ["--json", "-", "--csv", "/dev/stdout"], "--json - and --csv /dev/stdout name one file"),
+        (b"", b"\xab", _POSTERIOR + ["0"], _level_error(0)),
+        (b"", b"\xab", _POSTERIOR + ["9"], _level_error(9)),
+        (
+            b"",
+            b"\xab",
+            _POSTERIOR + ["4"],
+            "full enumeration at level 4 has B_16 models; pass --max-blocks (e.g. 2) to restrict the model space",
+        ),
+        (b"", b"\xab", _POSTERIOR + ["2", "--max-blocks", "0"], "max_blocks must be in [1, 4], got 0"),
+        (b"", b"\xab", _POSTERIOR + ["3", "--max-blocks", "9"], "max_blocks must be in [1, 8], got 9"),
     ],
-    ids=["divisor-0", "out-in-missing-directory", "text-decrease", "binary-decrease", "binary-beyond-int64"],
+    ids=[
+        "divisor-0", "out-in-missing-directory", "text-decrease", "binary-decrease", "binary-beyond-int64",
+        "analyze-level-0", "analyze-ascii-level-minus-1", "analyze-level-7", "json-in-missing-directory",
+        "json-and-csv-one-path", "json-and-csv-both-stdout", "posterior-level-0", "posterior-level-9",
+        "posterior-level-4-uncapped", "posterior-cap-0", "posterior-cap-above-level",
+    ],
 )
-def test_extract_refuses_before_reading_an_endless_pipe(tmp_path, head, body, argv, error):
-    """--divisor and --out are checked before the input is read, and the
+def test_refused_before_reading_an_endless_pipe(tmp_path, head, body, argv, error):
+    """Options and outputs are checked before the input is read, and the
     first fault in the input is reported as soon as it is read, so each of
-    these faults ends a run whose input never ends, with exit code 2 and no
-    output file."""
-    argv = [a.format(tmp=tmp_path) for a in argv]
+    these faults ends a run whose input never ends, with exit code 2, one
+    error line, nothing on stdout and no output file."""
+    command, *argv = [a.format(tmp=tmp_path) for a in argv]
     with endless_pipe(head, body) as stdin:
-        run = _cli("extract", "/dev/stdin", *argv, stdin=stdin, timeout=15)
+        run = _cli(command, "/dev/stdin", *argv, stdin=stdin, timeout=15)
     assert run.returncode == EXIT_ERROR
     assert run.stderr.decode() == f"error: {error.format(tmp=tmp_path)}\n"
+    assert run.stdout == b""
     assert list(tmp_path.iterdir()) == []
 
 
@@ -774,12 +821,13 @@ class TestInputContract:
         assert capsys.readouterr().err == "error: requested n=-5 is negative\n"
 
     @pytest.mark.parametrize(
-        "command", [["analyze", "--max-level", "9"], ["posterior", "--level", "9"]]
+        "command", [["analyze", "--max-level", "4"], ["posterior", "--level", "4", "--max-blocks", "2"]]
     )
     def test_bad_character_wins_over_bad_level(self, tmp_path, capsys, command):
-        # the file is read to its end before n, and so the level's range, is known
+        # 2^16 bytes may hold the 2^16 bits of level 4, so only the n read
+        # rules it out, and the file is read to its end before n is known
         p = tmp_path / "bad.txt"
-        p.write_text("0110" * 100 + "2")
+        p.write_text(("0110" * 100 + "2").ljust(1 << 16, "\n"))
         assert main([command[0], str(p), "--format", "ascii", *command[1:]]) == EXIT_ERROR
         err = capsys.readouterr().err
         assert err.startswith("error: invalid character b'2' at byte offset 400")
@@ -865,14 +913,28 @@ class TestPosterior:
     ],
     ids=["analyze", "bounds", "posterior"],
 )
-def test_json_to_stdout_is_the_only_stdout(unbiased_file, tmp_path, capsys, argv):
+def test_json_to_stdout_is_the_only_stdout(unbiased_file, tmp_path, capfd, argv):
     argv = [a.format(f=unbiased_file) for a in argv]
     code = main(argv + ["--json", str(tmp_path / "r.json")])
-    summary = capsys.readouterr().out
+    summary = capfd.readouterr().out
     assert main(argv + ["--json", "-"]) == code
-    out, err = capsys.readouterr()
+    out, err = capfd.readouterr()
     assert json.loads(out) == json.loads((tmp_path / "r.json").read_text())
     assert err == summary  # the text summary moves to stderr, unchanged
+
+
+def test_reports_end_in_one_newline_and_csv_dash_is_stdout(unbiased_file, tmp_path, monkeypatch, capfd):
+    """--csv - writes the CSV to stdout and makes no file named -, and a
+    JSON report ends in one newline on stdout and in a file alike."""
+    monkeypatch.chdir(tmp_path)
+    argv = ["analyze", str(unbiased_file), "--format", "packed"]
+    code = main(argv + ["--json", "r.json", "--csv", "r.csv"])
+    summary = capfd.readouterr().out
+    for option, ref in [("--csv", "r.csv"), ("--json", "r.json")]:
+        assert main(argv + [option, "-"]) == code
+        assert capfd.readouterr() == ((tmp_path / ref).read_bytes().decode(), summary)
+    assert (tmp_path / "r.json").read_text().endswith("}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["r.csv", "r.json"]
 
 
 def test_usage_error_exit_code():
