@@ -8,6 +8,7 @@ produce identical output bytes on every platform and numpy version.
 
 from __future__ import annotations
 
+import bisect
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -25,7 +26,6 @@ DETECTOR = "detector"
 _CHUNK = 1 << 22  # uniforms drawn at a time; a multiple of 8, so the packed chunks concatenate
 _BATCH = 1 << 16  # uniforms per refill of the detector streams; fixes the output bytes
 _PIECE = 1 << 12  # half a detector run; the most events a walk lists before it cuts
-_WALK = 4  # arrivals listed at a time where a conflict interrupts the numpy path
 # most expected arrivals a detector run may drop; at about 0.12 us each
 # (2-core Intel Xeon, numpy 2.4) a run at the limit takes about 2.2 min
 _MAX_DROPS = 1 << 30
@@ -153,14 +153,14 @@ def _piece(
 
 def _arrivals(bg, clock: float, mean: float) -> tuple[np.ndarray, np.ndarray]:
     """A refill of the arrival stream: the times clock + cumsum(-mean *
-    log1p(-u)) over _BATCH uniforms, computed in place, and the detectors,
-    1 where the next _BATCH uniforms are below 1/2."""
+    log1p(-u)) over _BATCH uniforms, computed in place, and the detectors, 1
+    where the next _BATCH raw words are below 2**63, as their uniforms are below 1/2."""
     arrival_t = _raw_uniforms(bg, _BATCH)
     np.log1p(np.negative(arrival_t, out=arrival_t), out=arrival_t)
     arrival_t *= -mean
     np.cumsum(arrival_t, out=arrival_t)
     arrival_t += clock
-    return arrival_t, (_raw_uniforms(bg, _BATCH) < 0.5).view(np.uint8)
+    return arrival_t, (bg.random_raw(_BATCH) < np.uint64(1 << 63)).view(np.uint8)
 
 
 def _kept_arrivals(
@@ -227,8 +227,8 @@ def _synced(i: int, arrival_t, arrival_d, keep, last: list[float], tau: float) -
     """Whether the next arrival on each detector, from arrival i on, is kept
     by the filter keep and by the dead time after last."""
     todo = 3
-    for j in range(i, arrival_t.size):
-        d = int(arrival_d[j])
+    for j in range(i, len(arrival_t)):
+        d = arrival_d[j]
         if todo >> d & 1:
             if not keep[j] or arrival_t[j] - last[d] < tau:
                 return False
@@ -253,7 +253,7 @@ def _detector_runs(cfg: GeneratorConfig) -> Iterator[tuple[np.ndarray, np.ndarra
     every run but the last holds 2 * _PIECE events rounded down to whole
     bytes.
 
-    Each arrival refill draws 2 * _BATCH Philox uniforms: interarrivals from
+    Each arrival refill draws 2 * _BATCH Philox words: interarrivals from
     the first half, detector coins from the second; the clock carries over
     between refills. The coin of recorded event k is uniform k of a second
     Philox stream keyed seed + 2**64, so the arrival stream is unaffected;
@@ -273,11 +273,10 @@ def _detector_runs(cfg: GeneratorConfig) -> Iterator[tuple[np.ndarray, np.ndarra
     rank to the next: a void after-pulse is passed over, a lone one is
     listed after its arrival and shifts the later ranks by one, and any
     other, or a lone one whose own coin injects, is pushed and hands over
-    to the one-event loop, which walks _WALK arrivals at a time until such a
-    point comes again. The events are listed as ranges of the kept arrivals
-    and of the one-event loop's events, and gathered in numpy at the end of
-    each refill, or sooner, once the one-event loop has listed _PIECE
-    events.
+    to the one-event loop, which hands back at the first such point again.
+    The events are listed as ranges of the kept arrivals and of the
+    one-event loop's events, and gathered in numpy at the end of each
+    refill, or sooner, once the one-event loop has listed _PIECE events.
     """
     n, tau, prob, delay = cfg.n, cfg.dead_time, cfg.afterpulse_prob, cfg.afterpulse_delay
     arrival_bg = np.random.Philox(key=cfg.seed)
@@ -303,20 +302,24 @@ def _detector_runs(cfg: GeneratorConfig) -> Iterator[tuple[np.ndarray, np.ndarra
     held_t, held_d = np.empty(0), np.empty(0, dtype=np.uint8)  # gathered, not yet cut
 
     def walk(i: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """The one-event loop over arrivals i .. i + _WALK of the refill; it
-        lists the recorded events in other_t and other_d."""
+        """The one-event loop from arrival i until nothing is pending and the
+        filter is in sync, the refill ends, or event n; it lists the recorded
+        events in other_t and other_d and returns the arrival that comes next."""
         nonlocal recorded, next_spawn
         # the loop's counters as locals, stored back when the walk ends
         rank, spawn = recorded, next_spawn
         queue, times, dets = pending, other_t, other_d
-        for ta, da in zip(arrival_t[i : i + _WALK].tolist(), arrival_d[i : i + _WALK].tolist()):
+        while i < _BATCH and rank < n:
+            if not queue and _synced(i, arrival_t, arrival_d, keep, last, tau):
+                break
+            ta, da = arrival_t[i], arrival_d[i]
+            i += 1
             arrived = False
             while not arrived and rank < n:
+                if len(times) >= _PIECE:  # a walk lists _PIECE events before it cuts
+                    yield from cut(False)
                 if queue and queue[0][0] <= ta:
                     t, det = queue.popleft()
-                    # a run of after-pulses lists _PIECE events before the walk ends
-                    if len(times) >= _PIECE:
-                        yield from cut(False)
                 else:
                     t, det, arrived = ta, da, True
                 if t - last[det] < tau:
@@ -329,8 +332,7 @@ def _detector_runs(cfg: GeneratorConfig) -> Iterator[tuple[np.ndarray, np.ndarra
                     spawn = next(spawns, n)
                 rank += 1
         recorded, next_spawn = rank, spawn
-        if len(times) >= _PIECE:
-            yield from cut(False)
+        return i
 
     def leap(i: int) -> int:
         """From arrival i, where the loop is synced, list the kept arrivals
@@ -338,7 +340,7 @@ def _detector_runs(cfg: GeneratorConfig) -> Iterator[tuple[np.ndarray, np.ndarra
         injecting arrival whose after-pulse the one-event loop must take,
         which is pushed; return the arrival that comes next."""
         nonlocal recorded, next_spawn
-        p = int(kept.searchsorted(np.int32(i)))
+        p = bisect.bisect_left(kept, i)
         shift = recorded - p  # kept arrival x has rank x + shift
         while True:
             rank, q = next_spawn, next_spawn - shift  # the next injecting event
@@ -352,7 +354,7 @@ def _detector_runs(cfg: GeneratorConfig) -> Iterator[tuple[np.ndarray, np.ndarra
             if kind != _LONE or rank + 1 == n or next_spawn == rank + 1:
                 end = q + 1
                 if rank + 1 < n:
-                    pending.append((float(kept_t[q]) + delay, int(kept_d[q])))
+                    pending.append((kept_t[q] + delay, kept_d[q]))
                 break
             lone.append(q)
             shift += 1
@@ -365,13 +367,13 @@ def _detector_runs(cfg: GeneratorConfig) -> Iterator[tuple[np.ndarray, np.ndarra
         # detector, tau or more after the after-pulse, last decides alike
         todo = 3
         for x in range(end - 1, p - 1, -1):
-            d = int(kept_d[x])
+            d = kept_d[x]
             if todo >> d & 1:
-                last[d] = float(kept_t[x])
+                last[d] = kept_t[x]
                 todo ^= 1 << d
                 if not todo:
                     break
-        return int(kept[end - 1]) + 1 if pending else _BATCH
+        return kept[end - 1] + 1 if pending else _BATCH
 
     def close_others() -> None:
         """List the events of other_t not yet in a range as one range."""
@@ -396,8 +398,8 @@ def _detector_runs(cfg: GeneratorConfig) -> Iterator[tuple[np.ndarray, np.ndarra
                 at = np.flatnonzero(pos < m)
                 at = at[pos[at].searchsorted(lone)] + 1
                 pos = np.insert(pos, at, np.arange(m, m + len(lone), dtype=np.int32))
-            src_t = np.concatenate((kept_t, kept_t[lone] + delay, src_t))
-            src_d = np.concatenate((kept_d, kept_d[lone], src_d))
+            src_t = np.concatenate((kept_t, np.take(kept_t, lone) + delay, src_t))
+            src_d = np.concatenate((kept_d, np.take(kept_d, lone), src_d))
         del starts[:], lengths[:], other_t[:], other_d[:], lone[:]
         covered = 0
         h = held_t.size
@@ -413,22 +415,19 @@ def _detector_runs(cfg: GeneratorConfig) -> Iterator[tuple[np.ndarray, np.ndarra
 
     while recorded < n:
         arrival_t, arrival_d = _arrivals(arrival_bg, clock, cfg.mean_interarrival)
-        clock = float(arrival_t[-1])
         keep = _kept_arrivals(arrival_t, arrival_d, last, tau)
         kept = np.flatnonzero(keep).astype(np.int32)
         kept_t, kept_d = arrival_t[kept], arrival_d[kept]
         m = kept.size
         kinds = _pulse_kinds(kept_t, kept_d, tau, delay).tobytes() if prob > 0 else b""
-        i = 0  # the next arrival
+        arrival_t, arrival_d, keep, kept, kept_t, kept_d = map(  # they read Python scalars
+            memoryview, (arrival_t, arrival_d, keep, kept, kept_t, kept_d)
+        )
+        clock = arrival_t[-1]
+        i = 0  # the next arrival; at 0 the filter, started from last, is in sync
         while i < _BATCH and recorded < n:
-            # at arrival 0 the filter starts from last: synced
-            if not pending and (i == 0 or _synced(i, arrival_t, arrival_d, keep, last, tau)):
-                i = leap(i)
-            else:
-                yield from walk(i)
-                i += _WALK
-        # freed before the events are gathered
-        arrival_t = arrival_d = keep = kept = kinds = None
+            i = (yield from walk(i)) if pending else leap(i)
+        arrival_t = arrival_d = keep = kept = kinds = None  # freed before the gather
         yield from cut(recorded == n)
 
 

@@ -247,8 +247,8 @@ def test_detector_memory_per_event(defects):
 @pytest.mark.parametrize("delay", [0.0, 75.0])
 def test_after_pulse_runs_are_copied_out_early(delay):
     """At afterpulse_prob = 1 one arrival starts an endless run of after-pulses
-    (with delay 0, all n events come from the first arrival); the events
-    listed at any time stay within two walks, the pieces yielded within
+    (with delay 0, all n events come from the first arrival); a walk cuts
+    once it has listed _PIECE events, the pieces yielded stay within
     2 * _PIECE, and every run and piece but the last holds whole bytes of bits."""
     n = 1 << 17
     cfg = GeneratorConfig("detector", n, 3, afterpulse_prob=1.0, afterpulse_delay=delay)
@@ -373,17 +373,15 @@ def detector_configs(draw):
     cfg=detector_configs(),
     batch=st.sampled_from([1, 3, 16, 64]),
     piece=st.integers(1, 40),
-    walk=st.integers(1, 8),
 )
-def test_numpy_path_matches_generator_loop(cfg, batch, piece, walk):
+def test_numpy_path_matches_generator_loop(cfg, batch, piece):
     """Every refill takes the numpy path and hands over to the one-event loop
-    at each conflict, however many: small refills, walks and pieces cross
+    at each conflict, however many: small refills and pieces cross
     every hand-over, refill, coin batch, early-cut and piece boundary; both
     sides draw with the same patched refill size."""
     with (
         mock.patch.object(simgen, "_BATCH", batch),
         mock.patch.object(simgen, "_PIECE", piece),
-        mock.patch.object(simgen, "_WALK", walk),
     ):
         tags, bits = gen_detector(cfg)
         ref_tags, ref_bits = _reference_detector(cfg)
