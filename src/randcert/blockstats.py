@@ -14,12 +14,16 @@ divides the period, so no block crosses a segment: levels 1, 2, 3, 4 and 6
 share 12-bit segments when 3 or 6 is counted, level 5 takes 10 bits, 7
 and 9 their own width, and every other level whole bytes. Each segment
 lies in one byte or in the big-endian 16-bit window of its first byte, so
-one shift and one mask read it, and a level's counts are the folds of its
-blocks out of the segment histogram. Segments are histogrammed a bounded
-slab at a time, so working memory does not grow with n. The blocks after
-the last whole period are counted on their own. stream_level_counts
-counts a file one chunk of whole periods at a time and sums the chunks'
-counts, so it never holds the file.
+one shift and one mask read it.
+
+A count is three steps: the segments of every region of whole periods are
+histogrammed, a bounded slab at a time, into one histogram per width that
+the caller holds; a level's counts are then folded out of its histogram
+once; and the blocks after the last whole period are counted once, on
+their own. A sequence in memory is one region. stream_level_counts reads
+a file one chunk of whole periods at a time and adds each chunk to the
+same histograms, so it never holds the file, and the folds and the tail
+cost the same however many chunks there are.
 """
 
 from __future__ import annotations
@@ -41,13 +45,15 @@ from .bitstream import BitSequence
 # level 8, so no caller needs longer blocks.
 MAX_LEVEL = 9
 
-# Segments fed to one bincount, as intp: 1 MiB of working memory.
-_SLAB = 1 << 17
+# Segments fed to one bincount, as intp: 256 KiB of working memory, which
+# fits in a core's L2 cache.
+_SLAB = 1 << 15
 
-# Bits per chunk of stream_level_counts, 1.875 MiB: whole periods of levels
+# Bits per chunk of stream_level_counts, 480 KiB: whole periods of levels
 # 1..4 (24 bits), 1..5 and 1..6 (120 bits), and whole slabs of the 12-bit
 # (5), 10-bit (3) and 8-bit (15) segment rows they are counted from, so a
-# chunked count makes as many bincounts as one call over the whole file.
+# chunked count makes as many bincounts as one pass over the whole file.
+# Chunks only add to the histograms; the folds and the tail come once.
 _CHUNK_BITS = 120 * _SLAB
 
 
@@ -123,15 +129,20 @@ def _width(i: int, levels) -> int:
     return {5: 10, 7: 7, 9: 9}.get(i, 8)
 
 
-def _segment_hist(region: np.ndarray, width: int) -> np.ndarray:
-    """Histogram of the width-bit segments of region, packed bytes in whole
-    rows of lcm(8, width) bits, one bincount per segment of a row and slab.
+def _histograms(levels) -> dict[int, np.ndarray]:
+    """An empty histogram for each segment width that levels are counted from."""
+    return {w: np.zeros(1 << w, dtype=np.int64) for w in {_width(i, levels) for i in levels}}
+
+
+def _segment_hist(region: np.ndarray, width: int, hist: np.ndarray) -> None:
+    """Add to hist the histogram of the width-bit segments of region, packed
+    bytes in whole rows of lcm(8, width) bits, one bincount per segment of a
+    row and slab.
 
     A segment lies in one byte or in the big-endian 16-bit window of its
     first byte, so one shift and one mask read it, into one intp buffer of
     a slab that bincount then reads without a copy of its own."""
     rows = region.reshape(-1, math.lcm(8, width) // 8)
-    hist = np.zeros(1 << width, dtype=np.int64)
     mask = (1 << width) - 1
     buf = np.empty(min(_SLAB, len(rows)), dtype=np.intp)
     for a in range(0, len(rows), _SLAB):
@@ -144,27 +155,16 @@ def _segment_hist(region: np.ndarray, width: int) -> np.ndarray:
             if s:
                 values &= mask
             hist += np.bincount(values, minlength=1 << width)
-    return hist
 
 
-def _count_packed(data: np.ndarray, nbits: int, levels) -> list[np.ndarray]:
-    """Counts of the nbits // i blocks of the first nbits bits of packed bytes,
-    one vector per level i in levels.
+def _fold_levels(hists: dict[int, np.ndarray], levels) -> dict[int, np.ndarray]:
+    """The counts of each level in levels over the whole periods that the
+    segment histograms hists (by width) were taken from.
 
-    Every level is counted over whole periods of lcm(8, *levels) bits, as
-    the sum over its block offsets of the folds of its segment histogram,
-    which the levels of one segment width share, or of the counts of a
-    multiple of it from the same segments. The blocks after the last whole
-    period are read from one Python integer, so pad bits beyond nbits are
-    never read as data.
-    """
-    if not levels:  # stream_level_counts below level 1: no walk at all
-        return []
-    period = math.lcm(8, *levels)
-    full, pbytes = nbits // period, period // 8
-    region, rest = data[: full * pbytes], data[full * pbytes :]
+    A level's counts are the sum over its block offsets of the folds of its
+    segment histogram, which the levels of one segment width share, or of
+    the counts of a multiple of it from the same segments."""
     widths = {i: _width(i, levels) for i in set(levels)}
-    hists = {w: _segment_hist(region, w) for w in set(widths.values())}
     counts = {}
     for i in sorted(widths, reverse=True):
         # a block of a multiple of i in the same segments holds whole blocks
@@ -172,12 +172,32 @@ def _count_packed(data: np.ndarray, nbits: int, levels) -> list[np.ndarray]:
         j = next((j for j in counts if j % i == 0 and widths[j] == widths[i]), None)
         hist, width = (counts[j], j) if j else (hists[widths[i]], widths[i])
         counts[i] = sum(_fold(hist, width, s, i) for s in range(0, width, i))
+    return counts
+
+
+def _count_tail(counts: dict[int, np.ndarray], rest: np.ndarray, nbits: int) -> None:
+    """Add to counts (by level) the blocks in the first nbits bits of the
+    packed bytes rest, the bits after the last whole period. They are read
+    from one Python integer, so pad bits beyond nbits are never read as data."""
+    raw = rest[: (nbits + 7) // 8].tobytes()
+    word, width = int.from_bytes(raw, "big"), 8 * len(raw)
     for i, c in counts.items():
-        tail = nbits // i - full * (period // i)  # blocks after the last whole period
-        tail_bytes = rest[: (tail * i + 7) // 8].tobytes()
-        word, width, mask = int.from_bytes(tail_bytes, "big"), 8 * len(tail_bytes), (1 << i) - 1
-        for k in range(1, tail + 1):
+        mask = (1 << i) - 1
+        for k in range(1, nbits // i + 1):
             c[(word >> (width - k * i)) & mask] += 1
+
+
+def _count_packed(data: np.ndarray, nbits: int, levels) -> list[np.ndarray]:
+    """Counts of the nbits // i blocks of the first nbits bits of packed bytes,
+    one vector per level i in levels: the three steps over one region of
+    whole periods of lcm(8, *levels) bits, and its tail."""
+    period = math.lcm(8, *levels)
+    whole = nbits // period * period
+    hists = _histograms(levels)
+    for width, hist in hists.items():
+        _segment_hist(data[: whole // 8], width, hist)
+    counts = _fold_levels(hists, levels)
+    _count_tail(counts, data[whole // 8 :], nbits - whole)
     return [counts[i] for i in levels]
 
 
@@ -227,24 +247,32 @@ def stream_level_counts(
     input_top_level. Levels above i_max of the n read are dropped at the
     end, and a level it does not reach is refused there. Each chunk is
     _CHUNK_BITS rounded down to whole periods of lcm(8, 1..top) bits, so no
-    block spans two chunks and the chunks' counts sum to the whole file's.
+    block spans two chunks. Every chunk adds its segments to one histogram
+    per width; the levels are folded out of them, and the blocks after the
+    last whole period counted, once, after the last chunk.
     """
     top = input_top_level(path, fmt, n, levels)
-    period = math.lcm(8, *range(1, top + 1))
+    counted = tuple(range(1, top + 1))
+    period = math.lcm(8, *counted)
     chunk_bits = period * max(1, _CHUNK_BITS // period)
     if fmt == "packed":
         chunks = bitstream.stream_packed(path, chunk_bits, n)
     else:
         chunks = bitstream.stream_ascii(path, chunk_bits)
-    total, sums = 0, []
+    hists = _histograms(counted)
+    total, rest, tail = 0, np.empty(0, dtype=np.uint8), 0
     for chunk in chunks:
         data = np.frombuffer(chunk.data, dtype=np.uint8)
-        counts = _count_packed(data, chunk.n, tuple(range(1, top + 1)))
-        sums = counts if not total else [a + b for a, b in zip(sums, counts)]
+        whole = chunk.n // period * period  # all of it, but in the last chunk
+        for width, hist in hists.items():
+            _segment_hist(data[: whole // 8], width, hist)
         total += chunk.n
+        rest, tail = data[whole // 8 :].copy(), chunk.n - whole
         del chunk, data  # freed before the next chunk is read
+    counts = _fold_levels(hists, counted)
+    _count_tail(counts, rest, tail)
     top = check_levels(total, levels)
-    return total, [BlockCounts(i, sums[i - 1], total // i) for i in range(1, top + 1)]
+    return total, [BlockCounts(i, counts[i], total // i) for i in range(1, top + 1)]
 
 
 def merge_counts(a: BlockCounts, b: BlockCounts) -> BlockCounts:

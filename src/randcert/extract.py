@@ -46,6 +46,17 @@ class TimeTagSeries:
             if (diffs < 0).any():
                 raise _decrease(vals, int(np.argmax(diffs < 0)) + 1)
 
+    @classmethod
+    def _checked(cls, values: np.ndarray, unit: str, kind: str) -> TimeTagSeries:
+        """A series of contiguous int64 values already known to be valid
+        (non-negative and, for timestamps, non-decreasing), built without
+        __post_init__'s scans of them."""
+        values.setflags(write=False)
+        series = object.__new__(cls)
+        for name, value in (("values", values), ("unit", unit), ("kind", kind)):
+            object.__setattr__(series, name, value)
+        return series
+
     def __len__(self) -> int:
         return int(self.values.size)
 
@@ -64,7 +75,8 @@ def interarrivals(series: TimeTagSeries) -> TimeTagSeries:
         raise ValueError("interarrivals() expects a timestamps series")
     if len(series) < 2:
         raise DataError("need at least two timestamps to difference")
-    return TimeTagSeries(np.diff(series.values), series.unit, INTERARRIVALS)
+    # a timestamps series never decreases, so its differences are valid
+    return TimeTagSeries._checked(np.diff(series.values), series.unit, INTERARRIVALS)
 
 
 def check_divisor(divisor: int) -> None:
@@ -100,7 +112,8 @@ def stream_timetags(path, fmt: str, kind: str) -> Iterator[TimeTagSeries]:
     timestamp, is one chunk of them. The first fault in the input is the one
     reported, as soon as the read that holds it is parsed, and nothing after
     it is read: a decrease of the timestamps with its index in the whole
-    series, or a format fault with its line.
+    series, or a format fault with its line. Each value is checked once,
+    here, so the chunks are built without a second scan.
     """
     parse = {"text": _text_values, "binary": _binary_values}.get(fmt)
     if parse is None:
@@ -112,16 +125,17 @@ def stream_timetags(path, fmt: str, kind: str) -> Iterator[TimeTagSeries]:
     with open(path, "rb") as fh:
         for values in parse(fh):
             chunk = np.concatenate([held, values])
-            if overlap and (drops := np.flatnonzero(np.diff(chunk) < 0)).size:
-                raise _decrease(chunk, int(drops[0]) + 1, base)
+            # the parsers give values in 0 .. 2^63 - 1; timestamps must not fall
+            if overlap and (drops := chunk[1:] < chunk[:-1]).any():
+                raise _decrease(chunk, int(drops.argmax()) + 1, base)
             take = (chunk.size - overlap) & ~7
             if take <= 0:
                 held = chunk
                 continue
             held, base, yielded = chunk[take:], base + take, True
-            yield TimeTagSeries(chunk[: take + overlap], "", kind)
+            yield TimeTagSeries._checked(chunk[: take + overlap], "", kind)
     if held.size > overlap or not yielded:
-        yield TimeTagSeries(held, "", kind)
+        yield TimeTagSeries._checked(held, "", kind)
 
 
 def _joined(chunks: Iterator[TimeTagSeries]) -> TimeTagSeries:
@@ -129,7 +143,7 @@ def _joined(chunks: Iterator[TimeTagSeries]) -> TimeTagSeries:
     first = next(chunks)
     overlap = int(first.kind == TIMESTAMPS)
     values = np.concatenate([first.values, *(c.values[overlap:] for c in chunks)])
-    return TimeTagSeries(values, first.unit, first.kind)
+    return TimeTagSeries._checked(values, first.unit, first.kind)
 
 
 def load_timetags_text(path, kind: str) -> TimeTagSeries:

@@ -1,8 +1,9 @@
 """Log-gamma, its Stirling tail and trigamma for the coupled frequency bound.
 
 The bound's gamma arguments reach ~1e9, so everything is computed in log
-space via the Stirling asymptotic series, with upward recurrence to move
-small arguments into the asymptotic regime.
+space. Log-gamma is the C library's; the Stirling tail is its asymptotic
+series from 13 up, and trigamma is its asymptotic series after upward
+recurrence moves small arguments into that regime.
 """
 
 from __future__ import annotations
@@ -41,11 +42,7 @@ def log_gamma(x: float) -> float:
     """ln Gamma(x) for x > 0."""
     if not x > 0:
         raise ValueError(f"log_gamma requires x > 0, got {x}")
-    shift = 0.0
-    while x < _LG_ASYMPTOTIC_MIN:
-        shift -= math.log(x)
-        x += 1.0
-    return shift + (x - 0.5) * math.log(x) - x + _HALF_LN_2PI + stirling_tail(x)
+    return math.lgamma(x)
 
 
 def stirling_tail(z: float) -> float:

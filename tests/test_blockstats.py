@@ -323,17 +323,22 @@ def bit_files(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(bit_files(), st.sampled_from([8, 24, 120]), st.integers(1, 3), st.data())
-def test_stream_level_counts_match_whole_file(packed_path, case, period, periods, data):
-    """The streamed pass, its chunks patched to a few periods, gives the n
-    and the level counts of the whole file loaded and counted at once."""
+@given(bit_files(), st.sampled_from([8, 24, 120]), st.integers(1, 3), st.integers(1, 64), st.data())
+def test_stream_level_counts_match_whole_file(packed_path, case, period, periods, slab, data):
+    """The streamed pass, its chunks patched to a few periods and its slabs
+    to a few rows, so segment histograms are summed across chunks and slabs
+    before the one fold, gives the n and the level counts of the whole file
+    loaded and counted at once, whatever the tail after the last period."""
     fmt, raw, n = case
     packed_path.write_bytes(raw)
     seq = load_packed(packed_path, n) if fmt == "packed" else load_ascii(packed_path)
     levels = data.draw(st.one_of(st.none(), st.integers(1, max_borel_level(max(seq.n, 4)))))
     if seq.n > 1000:  # keep the chunk count of the 2^16-bit files near ten
         periods *= 64
-    with mock.patch.object(blockstats, "_CHUNK_BITS", period * periods):
+    with (
+        mock.patch.object(blockstats, "_CHUNK_BITS", period * periods),
+        mock.patch.object(blockstats, "_SLAB", slab),
+    ):
         if seq.n < 4:
             with pytest.raises(ValueError, match=f"no admissible Borel level for n={seq.n}"):
                 stream_level_counts(packed_path, fmt, n, levels)
@@ -432,8 +437,9 @@ def test_level_counts_memory_is_flat_in_n():
 
 
 def test_stream_level_counts_memory_is_flat_in_n(tmp_path):
-    """The streamed pass holds one chunk and the kernel's scratch, not the
-    file: its peak on 2^26 bits (8 MiB packed) equals that on 2^24 bits."""
+    """The streamed pass holds one chunk, the kernel's scratch and one
+    histogram per segment width, not the file: its peak on 2^26 bits (8 MiB
+    packed) equals that on 2^24 bits."""
     rng = np.random.default_rng(5)
     peaks = []
     for n in (1 << 24, 1 << 26):
@@ -447,7 +453,7 @@ def test_stream_level_counts_memory_is_flat_in_n(tmp_path):
             tracemalloc.stop()
     small, large = peaks
     assert large <= 1.1 * small
-    assert large < 4 * 2**20  # one 1.875 MiB chunk and a 1 MiB slab of segment values
+    assert large < 2**20  # one 480 KiB chunk and a 256 KiB slab of segment values
 
 
 def test_stream_level_counts_memory_is_flat_in_n_on_a_pipe():
@@ -480,20 +486,20 @@ def test_stream_level_counts_memory_is_flat_in_n_on_a_pipe():
         assert not writer.is_alive()
     small, large = peaks
     assert large <= 1.1 * small
-    assert large < 4 * 2**20  # one 1.875 MiB chunk and a 1 MiB slab of segment values
+    assert large < 2**20  # one 480 KiB chunk and a 256 KiB slab of segment values
 
 
 @pytest.mark.parametrize(
     "levels, bound",
-    [((1, 2, 3, 4, 5), 2 * 2**20), ((1, 2, 3, 4), 1.5 * 2**20)],
+    [((1, 2, 3, 4, 5), 0.5 * 2**20), ((1, 2, 3, 4), 0.4 * 2**20)],
     ids=["L1-5", "L1-4"],
 )
 def test_kernel_scratch_is_one_slab_of_segments(levels, bound):
-    """The count holds one slab of segment values at a time, in a 1 MiB
+    """The count holds one slab of segment values at a time, in a 256 KiB
     intp buffer that bincount reads without a copy, and a histogram of at
     most 4,096 bins per segment width (12 and 10 bits for levels 1..5, 12
-    for levels 1..4), so its scratch at 2^24 bits stays under 2 MiB and
-    1.5 MiB."""
+    for levels 1..4), so its scratch at 2^24 bits stays under 0.5 MiB and
+    0.4 MiB."""
 
     def count(seq):
         data = np.frombuffer(seq.data, dtype=np.uint8)

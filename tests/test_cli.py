@@ -109,20 +109,26 @@ class TestAnalyze:
             simgen.gen_bernoulli(simgen.GeneratorConfig("bernoulli", n=4096, seed=9)), p
         )
         calls = []
-        orig = blockstats._count_packed
+        hist, fold = blockstats._segment_hist, blockstats._fold_levels
 
-        def spy(data, nbits, levels):
-            calls.append(tuple(levels))
-            return orig(data, nbits, levels)
+        def hist_spy(region, width, into):
+            calls.append(("hist", width))
+            return hist(region, width, into)
 
-        # replace the counting kernel wherever a randcert module binds it
-        for name, mod in list(sys.modules.items()):
-            if name.split(".")[0] == "randcert" and getattr(mod, "_count_packed", None) is orig:
-                monkeypatch.setattr(mod, "_count_packed", spy)
+        def fold_spy(hists, levels):
+            calls.append(("fold", tuple(levels)))
+            return fold(hists, levels)
+
+        monkeypatch.setattr(blockstats, "_segment_hist", hist_spy)
+        monkeypatch.setattr(blockstats, "_fold_levels", fold_spy)
+        # chunks of 40 periods of levels 1..3 (24 bits): 4,096 bits are 5 chunks
+        monkeypatch.setattr(blockstats, "_CHUNK_BITS", 40 * 24)
         out = tmp_path / "r.json"
         rc = main(["analyze", str(p), "--format", "ascii", "--json", str(out)] + extra)
         assert rc in (EXIT_PASS, EXIT_FAIL)
-        assert calls == [(1, 2, 3)]  # one walk for every level; i_max(4096) = 3
+        # one walk for every level, i_max(4096) = 3: one histogram of the 12-bit
+        # segments that levels 1..3 share per chunk, and one fold per input
+        assert calls == [("hist", 12)] * 5 + [("fold", (1, 2, 3))]
 
 
 @pytest.mark.parametrize(

@@ -456,6 +456,38 @@ def test_chunked_extraction_matches_whole_file(tmp_path_factory, case, kind, div
         assert bits == np.packbits((gaps // divisor) & 1).tobytes()
 
 
+def test_extract_differences_each_timestamp_once(tmp_path):
+    """On the CLI path each timestamps chunk is checked once, by the stream,
+    and differenced once, by interarrivals: no series is scanned again by
+    TimeTagSeries, and the differences computed number n - 1 for n tags.
+    A series built directly is still checked."""
+    stamps = np.cumsum(np.random.default_rng(3).integers(0, 1000, 1001))
+    src, out = tmp_path / "tags.bin", tmp_path / "bits.bin"
+    src.write_bytes(stamps.astype("<u8").tobytes())
+    differenced = []
+
+    class Numpy:  # numpy as extract sees it, counting the values np.diff returns
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def diff(self, a, *args, **kwargs):
+            d = np.diff(a, *args, **kwargs)
+            differenced.append(d.size)
+            return d
+
+    with (
+        mock.patch.object(extract, "np", Numpy()),
+        mock.patch.object(extract, "_READ", 8 * 100),  # 11 reads of 100 tags
+        mock.patch.object(TimeTagSeries, "__post_init__", side_effect=AssertionError("scan")),
+    ):
+        assert _extract(src, "binary", "timestamps", 1, out)[0] != EXIT_ERROR
+    assert len(differenced) > 10 and sum(differenced) == stamps.size - 1
+    with pytest.raises(DataError, match=r"decrease at index 2 \(9 -> 8\)"):
+        series([1, 9, 8], "timestamps")
+    with pytest.raises(DataError, match="negative time value at index 0"):
+        series([-1, 2])
+
+
 def _traced_peak(fn) -> int:
     tracemalloc.start()
     try:

@@ -1,5 +1,5 @@
-"""The README's Python example and CLI lines run as written, and the names
-in its library overview exist."""
+"""The README's Python example and CLI lines run as written, the names in
+its library overview exist, and the chunk size it gives is the code's."""
 
 import importlib
 import re
@@ -7,6 +7,7 @@ import shlex
 from pathlib import Path
 
 import randcert
+from randcert import blockstats
 from randcert.cli import EXIT_FAIL, EXIT_PASS, main
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
@@ -52,3 +53,11 @@ def test_library_overview_names_resolve():
         if not any(_resolves(obj, name) for obj in (importlib.import_module(module), randcert))
     ]
     assert not missing
+
+
+def test_chunk_size_is_the_constant():
+    """Each chunk size the README gives for the streamed count, in the
+    analyze notes and the blockstats row, is blockstats._CHUNK_BITS // 8."""
+    sizes = re.findall(r"(\d+) KiB chunks", README)
+    assert len(sizes) == 2
+    assert all(1024 * int(kib) == blockstats._CHUNK_BITS // 8 for kib in sizes)
