@@ -3,6 +3,10 @@
 Bits are stored 8 per byte, MSB-first within each byte (the usual raw-RNG
 dump convention). Trailing pad bits in the last byte are always zero, so
 two sequences are equal iff their (n, storage) pairs are equal.
+
+SLAB is the one stream size: bytes per read, here and in the time-tag readers;
+packed bytes per rendered slab; tags per formatted slab; uniforms per generator
+draw. Loaders join chunks of 8 * SLAB bits. Streams read it when they run.
 """
 
 from __future__ import annotations
@@ -20,10 +24,7 @@ from .errors import FormatError
 _ASCII_CLASS = np.full(256, 3, dtype=np.uint8)
 _ASCII_CLASS[list(b" \t\r\n\x0b\x0c")] = 2
 _ASCII_CLASS[list(b"01")] = [0, 1]
-# bits per chunk that load_ascii and load_packed join: 128 KiB packed, so a
-# load peaks near one packed copy of the bits plus a chunk
-_LOAD_CHUNK = 1 << 20
-_SLAB = 1 << 20  # bytes read, or packed bytes rendered, at a time
+SLAB = 1 << 16  # a multiple of 8, so a bit generator's chunks are whole bytes; see above
 
 
 @dataclass(frozen=True)
@@ -92,12 +93,12 @@ def _bits_from_ascii(chunk: bytes, base_offset: int) -> np.ndarray:
 
 def load_ascii(path) -> BitSequence:
     """Read a '0'/'1' text file; whitespace is skipped."""
-    return concat(stream_ascii(path, _LOAD_CHUNK))
+    return concat(stream_ascii(path, 8 * SLAB))
 
 
 def load_packed(path, n: int | None = None) -> BitSequence:
     """Read raw packed bytes, MSB-first. n defaults to 8 * byte length."""
-    return concat(stream_packed(path, _LOAD_CHUNK, n))
+    return concat(stream_packed(path, 8 * SLAB, n))
 
 
 def _chunks(obj, cls) -> Iterable:
@@ -111,10 +112,11 @@ def write_ascii(seq, path) -> None:
     with open(path, "wb") as fh:
         for chunk in _chunks(seq, BitSequence):
             data = np.frombuffer(chunk.data, dtype=np.uint8)
-            for a in range(0, data.size, _SLAB):
-                text = np.unpackbits(data[a : a + _SLAB])[: chunk.n - 8 * a]
+            for a in range(0, data.size, SLAB):
+                text = np.unpackbits(data[a : a + SLAB])[: chunk.n - 8 * a]
                 text |= ord("0")
                 fh.write(text)
+                del text  # freed before the next slab is rendered, so one is held at a time
         fh.write(b"\n")
 
 
@@ -136,7 +138,7 @@ def stream_ascii(path, chunk_bits: int) -> Iterator[BitSequence]:
     loose = np.empty(0, dtype=np.uint8)  # the fewer than 8 bits not yet packed
     offset = 0
     with open(path, "rb") as fh:
-        while raw := fh.read(_SLAB):
+        while raw := fh.read(SLAB):
             bits = np.concatenate([loose, _bits_from_ascii(raw, offset)])
             offset += len(raw)
             whole = bits.size - bits.size % 8

@@ -31,24 +31,26 @@ POSTERIOR_MAX_LEVEL = 4
 ANALYZE_LEVEL4_MAX_BLOCKS = 2
 
 
+def _bits(args) -> int | None:
+    """--bits, refused on ASCII input: the file states its length."""
+    if args.format == "ascii" and args.bits is not None:
+        raise ValueError("--bits applies to packed input only")
+    return args.bits
+
+
 def _input_top(args, levels: int | None) -> int:
-    """The highest level worth counting on the input. --bits on ASCII input,
-    and a level that no input of its size reaches, are refused before
-    anything is read."""
+    """The highest level worth counting on the input; --bits on ASCII input and
+    a level that no input of its size reaches are refused before any read."""
     from . import blockstats
 
-    if args.format == "ascii" and args.bits is not None:
-        raise ValueError("--bits applies to packed input only")  # the file states its length
-    return blockstats.input_top_level(args.input, args.format, args.bits, levels)
+    return blockstats.input_top_level(args.input, args.format, _bits(args), levels)
 
 
 def _count_input(args, levels: int | None):
-    """n and block counts at levels 1..check_levels(n, levels) of the input,
-    from the one streamed pass that analyze and posterior share."""
+    """stream_level_counts of the input, the one pass analyze and posterior share."""
     from . import blockstats
 
-    _input_top(args, levels)
-    return blockstats.stream_level_counts(args.input, args.format, args.bits, levels)
+    return blockstats.stream_level_counts(args.input, args.format, _bits(args), levels)
 
 
 def _write(chunks, path: str, fmt: str, n: int | None = None) -> None:

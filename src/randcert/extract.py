@@ -14,7 +14,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .bitstream import BitSequence, _chunks
+from . import bitstream
 from .errors import DataError, FormatError, NumericError
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
@@ -87,23 +87,22 @@ def check_divisor(divisor: int) -> None:
         raise ValueError(f"divisor {divisor} exceeds 2^63 - 1, the largest time tag")
 
 
-def timetags_to_bits(series: TimeTagSeries, divisor: int = 1) -> BitSequence:
+def timetags_to_bits(series: TimeTagSeries, divisor: int = 1) -> bitstream.BitSequence:
     """Parity extraction: bit = floor(value / divisor) mod 2 (even -> 0)."""
     if series.kind != INTERARRIVALS:
         raise ValueError("timetags_to_bits() expects interarrivals; difference first")
     check_divisor(divisor)
-    return BitSequence.from_bits(((series.values // divisor) & 1).astype(np.uint8))
+    return bitstream.BitSequence.from_bits(((series.values // divisor) & 1).astype(np.uint8))
 
 
-_READ = 1 << 20  # bytes read at a time; a multiple of 8, so binary reads end between values
 # bytes in the longest time-tag line accepted, which is held whole before it
-# is parsed; _READ is no larger, so only a line that spans reads can pass it
+# is parsed; bitstream.SLAB is no larger, so only a line that spans reads can pass it
 _MAX_LINE = 1 << 20
 
 
 def stream_timetags(path, fmt: str, kind: str) -> Iterator[TimeTagSeries]:
     """Yield the series of a time-tag file ("text" or "binary" fmt) in chunks,
-    reading _READ bytes at a time.
+    reading bitstream.SLAB bytes at a time.
 
     A timestamps chunk after the first begins with the last timestamp of the
     chunk before, so each chunk differences on its own. Every chunk but the
@@ -170,7 +169,7 @@ def _text_values(fh) -> Iterator[np.ndarray]:
     tail, held, lineno = [], 0, 0
     after_cr = False  # whether the last line cut ended in "\r", whose "\n" may begin this read
     while True:
-        raw = fh.read(_READ)
+        raw = fh.read(bitstream.SLAB)
         first = min((k for k in (raw.find(b"\n"), raw.find(b"\r")) if k >= 0), default=len(raw))
         if held + first > _MAX_LINE:
             raise FormatError(f"line {lineno + 1}: longer than {_MAX_LINE} bytes")
@@ -275,7 +274,7 @@ def _binary_values(fh) -> Iterator[np.ndarray]:
     past 2^63 - 1 the values before it are yielded and it is reported; a size
     that is not a multiple of 8 is reported at the end of the input."""
     tail, size = b"", 0  # a pipe may return a read that ends inside a value
-    while raw := fh.read(_READ):
+    while raw := fh.read(bitstream.SLAB):
         size += len(raw)
         data = tail + raw
         whole = len(data) & ~7
@@ -289,7 +288,6 @@ def _binary_values(fh) -> Iterator[np.ndarray]:
         raise FormatError(f"file size {size} bytes is not a multiple of 8")
 
 
-_TEXT_SLAB = 1 << 16  # tags formatted at a time; the whole text is never held
 _POW10 = 10 ** np.arange(1, 19, dtype=np.int64)  # 10 .. 10**18
 
 
@@ -312,9 +310,9 @@ def write_timetags_text(series, path) -> None:
     or an iterable of them written as they come."""
     groups = _digit_groups()
     with open(path, "wb") as fh:
-        for chunk in _chunks(series, TimeTagSeries):
-            for a in range(0, len(chunk), _TEXT_SLAB):
-                v = chunk.values[a : a + _TEXT_SLAB]
+        for chunk in bitstream._chunks(series, TimeTagSeries):
+            for a in range(0, len(chunk), bitstream.SLAB):
+                v = chunk.values[a : a + bitstream.SLAB]
                 narrow, wide = np.searchsorted(_POW10, (v.min(), v.max()), side="right") + 1
                 g = -(-int(wide) // 4)
                 width = None if narrow == wide else np.searchsorted(_POW10, v, side="right") + 1
@@ -336,7 +334,7 @@ def write_timetags_text(series, path) -> None:
 def write_timetags_binary(series, path) -> None:
     """64-bit little-endian values; series as for write_timetags_text."""
     with open(path, "wb") as fh:
-        for chunk in _chunks(series, TimeTagSeries):
+        for chunk in bitstream._chunks(series, TimeTagSeries):
             fh.write(chunk.values.astype("<u8"))
 
 

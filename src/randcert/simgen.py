@@ -16,6 +16,7 @@ from typing import Iterator
 
 import numpy as np
 
+from . import bitstream
 from .bitstream import BitSequence, concat
 from .extract import TIMESTAMPS, TimeTagSeries
 
@@ -23,7 +24,6 @@ BERNOULLI = "bernoulli"
 MARKOV = "markov"
 DETECTOR = "detector"
 
-_CHUNK = 1 << 22  # uniforms drawn at a time; a multiple of 8, so the packed chunks concatenate
 _BATCH = 1 << 16  # uniforms per refill of the detector streams; fixes the output bytes
 _PIECE = 1 << 12  # half a detector run; the most events a walk lists before it cuts
 # most expected arrivals a detector run may drop; at about 0.12 us each
@@ -85,10 +85,10 @@ def _raw_uniforms(bg, count: int) -> np.ndarray:
 
 
 def _uniform_chunks(seed: int, n: int):
-    """The first n Philox uniforms of the seed, _CHUNK at a time."""
-    bg = np.random.Philox(key=seed)
-    for start in range(0, n, _CHUNK):
-        yield _raw_uniforms(bg, min(_CHUNK, n - start))
+    """The first n Philox uniforms of the seed, bitstream.SLAB at a time."""
+    bg, step = np.random.Philox(key=seed), bitstream.SLAB
+    for start in range(0, n, step):
+        yield _raw_uniforms(bg, min(step, n - start))
 
 
 def _expect(cfg: GeneratorConfig, kind: str) -> None:
@@ -97,7 +97,7 @@ def _expect(cfg: GeneratorConfig, kind: str) -> None:
 
 
 def stream_bernoulli(cfg: GeneratorConfig) -> Iterator[BitSequence]:
-    """gen_bernoulli's bits in packed chunks of _CHUNK bits (the last may be short)."""
+    """gen_bernoulli's bits in packed chunks of bitstream.SLAB bits (the last may be short)."""
     _expect(cfg, BERNOULLI)
     return (BitSequence.from_bits(u < cfg.theta) for u in _uniform_chunks(cfg.seed, cfg.n))
 
@@ -108,7 +108,7 @@ def gen_bernoulli(cfg: GeneratorConfig) -> BitSequence:
 
 
 def stream_markov(cfg: GeneratorConfig) -> Iterator[BitSequence]:
-    """gen_markov's bits in packed chunks of _CHUNK bits (the last may be short)."""
+    """gen_markov's bits in packed chunks of bitstream.SLAB bits (the last may be short)."""
     _expect(cfg, MARKOV)
 
     def chunks():
@@ -146,9 +146,9 @@ def _piece(
 ) -> tuple[TimeTagSeries, BitSequence]:
     """A run of recorded events, its times rounded to integer units."""
     times = np.rint(times)
-    if times[-1] >= 2.0**63:  # times never decrease; past 2^63 no int64 holds them
+    if times[-1] >= 2.0**63:  # times are >= 0 and never decrease; past 2^63 no int64 holds them
         raise ValueError(f"n={cfg.n} events at mean_interarrival={cfg.mean_interarrival} pass 2^63")
-    return TimeTagSeries(times.astype(np.int64), "unit", TIMESTAMPS), BitSequence.from_bits(bits)
+    return TimeTagSeries._checked(times.astype(np.int64), "unit", TIMESTAMPS), BitSequence.from_bits(bits)
 
 
 def _arrivals(bg, clock: float, mean: float) -> tuple[np.ndarray, np.ndarray]:
@@ -442,12 +442,10 @@ def gen_detector(cfg: GeneratorConfig) -> tuple[TimeTagSeries, BitSequence]:
     recorded time tags (rounded to integer units) and the detector-identity
     bits, both of length n, drained from stream_detector.
     """
-    stream = stream_detector(cfg)
     stamps = np.empty(cfg.n, dtype=np.int64)
-    pieces = []
-    end = 0
-    for tags, bits in stream:
+    pieces, end = [], 0
+    for tags, bits in stream_detector(cfg):
         stamps[end : end + len(tags)] = tags.values
         end += len(tags)
         pieces.append(bits)
-    return TimeTagSeries(stamps, "unit", TIMESTAMPS), concat(pieces)
+    return TimeTagSeries._checked(stamps, "unit", TIMESTAMPS), concat(pieces)

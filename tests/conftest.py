@@ -2,6 +2,7 @@ import contextlib
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +39,16 @@ def make_counts(level, mapping, total=None):
     for j, c in mapping.items():
         arr[j] = c
     return BlockCounts(level, arr, total if total is not None else int(arr.sum()))
+
+
+def traced_peak(fn) -> int:
+    """The peak of the memory that numpy and Python allocate while fn runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def python_env() -> dict[str, str]:

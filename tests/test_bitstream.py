@@ -14,7 +14,7 @@ from randcert import bitstream, simgen
 from randcert.bitstream import BitSequence
 from randcert.errors import FormatError
 
-from conftest import bits_from_string
+from conftest import bits_from_string, traced_peak
 
 
 @contextlib.contextmanager
@@ -315,6 +315,27 @@ def test_write_ascii_pinned_digest(tmp_path):
     assert hashlib.sha256(p.read_bytes()).hexdigest() == (
         "0a265b5d39e4dc5f6b3bd61501fea377d2312400745e30713dbd2caaaedd9511"
     )
+
+
+def test_ascii_write_and_stream_memory_is_flat_in_n(tmp_path):
+    """write_ascii renders, and stream_ascii reads, bitstream.SLAB bytes at a
+    time: the peak of each at 2^23 bits (8 MiB of text) equals that at 2^21
+    bits, below 1 MiB, and the text streams back to the bits written."""
+    peaks = {"write": [], "stream": []}
+    for n in (1 << 21, 1 << 23):
+        seq, p = BitSequence(np.random.default_rng(n).bytes(n // 8), n), tmp_path / f"{n}.txt"
+        digest = hashlib.sha256()
+
+        def stream():
+            for chunk in bitstream.stream_ascii(p, 8 * bitstream.SLAB):
+                digest.update(chunk.data)
+
+        peaks["write"].append(traced_peak(lambda: bitstream.write_ascii(seq, p)))
+        peaks["stream"].append(traced_peak(stream))
+        assert digest.digest() == hashlib.sha256(seq.data).digest()
+    for step, (small, large) in peaks.items():
+        assert large <= 1.1 * small, (step, small, large)
+        assert large < 1 << 20, (step, large)
 
 
 @pytest.mark.parametrize("chunk_bits", [8, 24, 128])

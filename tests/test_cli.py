@@ -325,7 +325,7 @@ class TestExtract:
         out = tmp_path / "bits"
         if existing is not None:
             out.write_bytes(existing)
-        monkeypatch.setattr(extract, "_READ", 64)
+        monkeypatch.setattr(bitstream, "SLAB", 64)
         argv = ["extract", str(src), "--format", "text", "--kind", "timestamps", "--out", str(out)]
         assert main(argv) == EXIT_ERROR
         assert capsys.readouterr().err == "error: line 201: no number found in 'x'\n"
@@ -808,6 +808,15 @@ def test_generate_defaults_are_the_generator_config_defaults(tmp_path, capsys, k
 
 
 class TestInputContract:
+    def test_analyze_checks_its_input_once(self, tmp_path, monkeypatch):
+        """analyze fixes and checks its levels once, in the counting pass."""
+        p = tmp_path / "p.bin"
+        p.write_bytes(b"\xab" * 64)
+        calls, real = [], blockstats.input_top_level
+        monkeypatch.setattr(blockstats, "input_top_level", lambda *a: calls.append(a) or real(*a))
+        assert main(["analyze", str(p), "--format", "packed"]) in (EXIT_PASS, EXIT_FAIL)
+        assert len(calls) == 1
+
     @pytest.mark.parametrize("command", [["analyze"], ["posterior", "--level", "1"]])
     def test_bits_with_ascii_input_is_usage_error(self, tmp_path, capsys, command):
         # an ASCII file states its own length

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from randcert import extract
+from randcert import bitstream, extract
 from randcert.cli import EXIT_ERROR, main
 from randcert.errors import DataError, FormatError
 from randcert.extract import (
@@ -21,10 +21,13 @@ from randcert.extract import (
     load_timetags_binary,
     load_timetags_text,
     parity_bias_estimate,
+    stream_timetags,
     timetags_to_bits,
     write_timetags_binary,
     write_timetags_text,
 )
+
+from conftest import traced_peak
 
 
 def series(values, kind="interarrivals"):
@@ -442,7 +445,7 @@ def test_chunked_extraction_matches_whole_file(tmp_path_factory, case, kind, div
     out = tmp_path_factory.getbasetemp() / "fuzz-extract-out"
     src.write_bytes(raw)
     whole = _extract(src, fmt, kind, divisor, out)
-    with mock.patch.object(extract, "_READ", read):
+    with mock.patch.object(bitstream, "SLAB", read):
         assert _extract(src, fmt, kind, divisor, out) == whole
     code, _, err, bits = whole
     assert (code == EXIT_ERROR) == (bits is None) == err.startswith("error: ")
@@ -477,7 +480,7 @@ def test_extract_differences_each_timestamp_once(tmp_path):
 
     with (
         mock.patch.object(extract, "np", Numpy()),
-        mock.patch.object(extract, "_READ", 8 * 100),  # 11 reads of 100 tags
+        mock.patch.object(bitstream, "SLAB", 8 * 100),  # 11 reads of 100 tags
         mock.patch.object(TimeTagSeries, "__post_init__", side_effect=AssertionError("scan")),
     ):
         assert _extract(src, "binary", "timestamps", 1, out)[0] != EXIT_ERROR
@@ -486,15 +489,6 @@ def test_extract_differences_each_timestamp_once(tmp_path):
         series([1, 9, 8], "timestamps")
     with pytest.raises(DataError, match="negative time value at index 0"):
         series([-1, 2])
-
-
-def _traced_peak(fn) -> int:
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 def test_generate_and_extract_memory_is_flat_in_n(tmp_path):
@@ -508,11 +502,40 @@ def test_generate_and_extract_memory_is_flat_in_n(tmp_path):
         extract_ = ["extract", str(text), "--format", "text", "--kind", "timestamps", "--out", str(bits)]
         for step, argv in (("generate", generate), ("extract", extract_)):
             with contextlib.redirect_stdout(io.StringIO()):
-                peaks[step].append(_traced_peak(lambda: main(argv)))
+                peaks[step].append(traced_peak(lambda: main(argv)))
         assert bits.stat().st_size == (tags - 1) // 8
     for step, (small, large) in peaks.items():
         assert large <= 1.1 * small, (step, small, large)
-        assert large < 10 << 20, (step, large)  # a few 1 MiB reads and their values
+        assert large < 10 << 20, (step, large)  # a detector refill, or a read, and their values
+
+
+@pytest.mark.parametrize("fmt", ["text", "binary"])
+def test_timetag_stream_memory_is_flat_in_n(tmp_path, fmt):
+    """The time-tag stream, stream_timetags through interarrivals to
+    timetags_to_bits, holds one read of bitstream.SLAB bytes and its values
+    at a time: its peak at 2^20 + 1 tags equals that at 2^18 + 1, below 1 MiB."""
+    write = {"text": write_timetags_text, "binary": write_timetags_binary}[fmt]
+    peaks = []
+    for tags in ((1 << 18) + 1, (1 << 20) + 1):
+        src = tmp_path / f"{tags}.{fmt}"
+        write(series(np.cumsum(np.random.default_rng(tags).integers(0, 2000, tags)), "timestamps"), src)
+        bits = []
+
+        def drain():
+            for chunk in stream_timetags(src, fmt, "timestamps"):
+                bits.append(timetags_to_bits(interarrivals(chunk)).n)
+
+        peaks.append(traced_peak(drain))
+        assert sum(bits) == tags - 1
+    small, large = peaks
+    assert large <= 1.1 * small, (small, large)
+    assert large < 1 << 20, large
+
+
+def test_reads_fit_the_line_limit():
+    """A read holds no line longer than _MAX_LINE, so only the lines that span
+    reads need the check."""
+    assert bitstream.SLAB <= extract._MAX_LINE
 
 
 def test_over_long_line_is_refused(tmp_path, capsys):
@@ -525,7 +548,7 @@ def test_over_long_line_is_refused(tmp_path, capsys):
         with pytest.raises(FormatError, match=r"^line 1: longer than 1048576 bytes$"):
             load_timetags_text(src, "timestamps")
 
-    assert _traced_peak(load) < 4 << 20
+    assert traced_peak(load) < 4 << 20
     argv = ["extract", str(src), "--format", "text", "--kind", "timestamps", "--out", str(out)]
     assert main(argv) == EXIT_ERROR
     assert capsys.readouterr().err == "error: line 1: longer than 1048576 bytes\n"
@@ -536,10 +559,10 @@ def test_over_long_line_is_refused(tmp_path, capsys):
 @pytest.mark.parametrize("read", [1, 2, 3, 5, 7, 8])
 def test_line_limit_is_exact_at_any_read_size(tmp_path, eol, read):
     """With the limit at 8 bytes a line of 8 is read and one of 9 is refused
-    with its line number, wherever reads of at most 8 bytes (as _READ is at
+    with its line number, wherever reads of at most 8 bytes (as SLAB is at
     most _MAX_LINE) cut the lines and their ends."""
     p = tmp_path / "tags.txt"
-    with mock.patch.object(extract, "_READ", read), mock.patch.object(extract, "_MAX_LINE", 8):
+    with mock.patch.object(bitstream, "SLAB", read), mock.patch.object(extract, "_MAX_LINE", 8):
         p.write_text(f"5{eol}1234 678{eol}{eol}7", newline="")
         assert load_timetags_text(p, "interarrivals").values.tolist() == [5, 1234678, 7]
         p.write_text(f"5{eol}1234 678{eol}{eol}1234 6789{eol}7", newline="")

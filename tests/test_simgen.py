@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from randcert import simgen
+from randcert import bitstream, simgen
 from randcert.blockstats import count_blocks
 from randcert.bitstream import BitSequence
 from randcert.borel import borel_deviations, borel_test, evaluate_level
@@ -86,16 +86,15 @@ class TestBernoulli:
     def test_chunking_is_invisible(self, monkeypatch):
         cfg = GeneratorConfig("bernoulli", n=100_000, seed=5)
         whole = gen_bernoulli(cfg)
-        monkeypatch.setattr(simgen, "_CHUNK", 1 << 12)
+        monkeypatch.setattr(bitstream, "SLAB", 1 << 12)
         assert gen_bernoulli(cfg) == whole
 
 
 @pytest.mark.parametrize(
     "kind, gen", [("bernoulli", gen_bernoulli), ("markov", gen_markov)], ids=["bernoulli", "markov"]
 )
-def test_bit_generators_hold_one_copy_of_their_output(monkeypatch, kind, gen):
+def test_bit_generators_hold_one_copy_of_their_output(kind, gen):
     """Packed chunks go to one buffer, not to a list joined at the end."""
-    monkeypatch.setattr(simgen, "_CHUNK", 1 << 16)
     tracemalloc.start()
     try:
         seq = gen(GeneratorConfig(kind, n=1 << 26, seed=4, stay_prob=0.6))
@@ -121,7 +120,7 @@ class TestMarkov:
         assert gen_markov(cfg).data == gen_markov(cfg).data
 
     def test_pinned_digest_across_chunks(self):
-        # pinned from the unchunked generator; n spans three chunks and a partial byte
+        # pinned from the unchunked generator; n spans 129 chunks of SLAB bits and a partial byte
         seq = gen_markov(GeneratorConfig("markov", 2**23 + 13, 3, stay_prob=0.52))
         assert hashlib.sha256(seq.data).hexdigest() == (
             "184696c87ee0b93d99e0fff6f9ff6fe956947d3010323df70ad912dd755db2d1"
@@ -131,7 +130,7 @@ class TestMarkov:
     def test_chunk_size_does_not_change_output(self, monkeypatch, n):
         cfg = GeneratorConfig("markov", n=n, seed=9, stay_prob=0.3)
         whole = gen_markov(cfg)
-        monkeypatch.setattr(simgen, "_CHUNK", 8)
+        monkeypatch.setattr(bitstream, "SLAB", 8)
         assert gen_markov(cfg) == whole
 
     def test_stay_excess_fails_borel_level_two(self):
